@@ -9,21 +9,41 @@ Solves, over complex weights w and a scalar t:
 
 The feasible set is never empty (w = 0 with t small enough always works), and
 instances here are tiny (N up to a few dozen, K+L up to ~16), so a log-barrier
-interior-point method with damped Newton steps is used.  Complex variables are
-stacked into reals internally.  At a centering parameter mu the standard
-barrier bound gives optimum - t <= m/mu with m the constraint count, which
-certifies the returned objective as a lower bound on the optimum within the
-requested tolerance.
+interior-point method with damped Newton steps is used (Boyd & Vandenberghe
+2004, section 11.3).  Complex variables are stacked into reals internally.
+
+At a centring parameter mu the barrier bound gives optimum - t <= m/mu, with m
+the constraint count.  The mu schedule grows by a fixed factor and ends exactly
+at mu_final = m/gap_target, so the certified gap is the requested one, not an
+overshoot of it.  mu_final carries a 1% margin: at an inexact centre the dual
+point recovered from the returned (w, t) certifies slightly more than m/mu
+(measured up to 4e-5 relative).  Only the final stage certifies the gap, so
+only it is centred tightly; earlier stages stop at a loose Newton decrement.
+
+Each Newton step first goes to a fraction of the distance to the boundary of
+the feasible set (Nocedal & Wright 2006, section 19.2): closed form for the
+affine rows and the positive root of a quadratic for each cap and the ball.
+The backtracking search then tests the change of the barrier directly as a
+sum of log1p terms, never as the difference of two barrier values.  Those
+values are of size mu*|t| ~ 1e9 at the last stage, so their difference carries
+rounding larger than the decrease being tested.
+
+A gap target below about 1e-8 asks for more than float64 can centre: such
+solves may end with status "max_iterations".
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-_NEWTON_TOL = 1e-11          # squared Newton decrement / 2
-_STALL_TOL = 1e-7            # accept a stage stopped by float64 exhaustion
+_NEWTON_TOL = 1e-11          # squared Newton decrement / 2, final stage
+_STAGE_TOL = 1e-3            # the same, stages before the final one
 _MAX_NEWTON_PER_STAGE = 80
-_MU_FACTOR = 20.0
+_MU_FACTOR = 50.0
+_GAP_MARGIN = 1.01           # mu_final = margin * m / gap_target
+_TO_BOUNDARY = 0.99          # first trial step: this fraction of the way
+_ARMIJO = 0.01
+_MAX_HALVINGS = 60
 
 
 @dataclass
@@ -61,7 +81,7 @@ class ConvexSolution:
     weights: np.ndarray
     objective: float
     feasibility_residual: float
-    status: str               # "optimal" | "max_iterations" | "infeasible"
+    status: str               # "optimal" | "max_iterations"
 
 
 def _stack(w: np.ndarray) -> np.ndarray:
@@ -90,41 +110,42 @@ def solve_epigraph(problem: EpigraphProblem, warm_start=None,
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
     n = problem.dim
-    d = 2 * n + 1                       # [Re w; Im w; t]
     K = len(problem.linear_terms)
     L = len(problem.quad_vectors)
     m = K + L + 1                       # constraint count incl. the norm ball
 
     A = np.array([2.0 * _stack(c) for c in problem.linear_terms])      # (K, 2n)
     b = np.asarray(problem.offsets)
-    R = np.array([_quad_rows(v) for v in problem.quad_vectors]) \
-        if L else np.zeros((0, 2, 2 * n))                              # (L, 2, 2n)
-    eta = problem.quad_cap
-    r2 = problem.ball_radius ** 2
+    R = np.array([_quad_rows(v) for v in problem.quad_vectors]).reshape(
+        2 * L, 2 * n)                   # rows 2l, 2l+1 belong to cap l
 
-    x = _feasible_start(problem, warm_start, A, R, eta)
+    x = _feasible_start(problem, warm_start, R)
     margins = A @ x - b
     t = float(margins.min()) - max(1.0, 0.05 * (np.abs(margins).max() + 1.0))
+    z = np.append(x, t)                 # [Re w; Im w; t]
 
-    gap_target = min(tolerance, 1e-6)
+    barrier = _Barrier(np.hstack([A, -np.ones((K, 1))]), b, R,
+                       problem.quad_cap, problem.ball_radius ** 2)
+    mu_final = _GAP_MARGIN * m / min(tolerance, 1e-6)
     mu = 1.0
     status = "optimal"
     while True:
-        x, t, ok = _center(x, t, mu, A, b, R, eta, r2, d, L)
-        if not ok:
+        if not barrier.center(z, mu, _NEWTON_TOL if mu == mu_final
+                              else _STAGE_TOL):
             status = "max_iterations"
             break
-        if m / mu <= gap_target:
+        if mu == mu_final:
             break
-        mu *= _MU_FACTOR
+        mu = min(mu * _MU_FACTOR, mu_final)
 
-    w = _unstack(x)
+    w = _unstack(z[:-1])
+    t = float(z[-1])
     residual = _residual(problem, w, t)
-    return ConvexSolution(weights=w, objective=float(t),
+    return ConvexSolution(weights=w, objective=t,
                           feasibility_residual=residual, status=status)
 
 
-def _feasible_start(problem, warm_start, A, R, eta):
+def _feasible_start(problem, warm_start, R):
     """Strictly interior stacked point, shrinking the warm start if needed."""
     n = problem.dim
     if warm_start is None:
@@ -137,100 +158,105 @@ def _feasible_start(problem, warm_start, A, R, eta):
     if nrm > 0:
         x *= min(1.0, 0.999 * problem.ball_radius / nrm)
     if len(problem.quad_vectors):
-        q = (np.einsum("lij,j->li", R, x) ** 2).sum(axis=1)
-        worst = q.max()
-        if worst >= 0.999 * eta:
-            x *= np.sqrt(0.999 * eta / worst)
+        worst = ((R @ x) ** 2).reshape(-1, 2).sum(axis=1).max()
+        if worst >= 0.999 * problem.quad_cap:
+            x *= np.sqrt(0.999 * problem.quad_cap / worst)
     return x
 
 
-def _center(x, t, mu, A, b, R, eta, r2, d, L):
-    """Damped Newton minimization of the barrier objective at fixed mu.
+class _Barrier:
+    """The barrier -mu*t - sum log(slack) over z = [x; t], with the Newton
+    matrices preallocated once per solve.
 
-    Near machine precision the line search may stop making progress before
-    the decrement threshold; a stage that stalls with a still-small Newton
-    decrement is accepted as centered.
+    Slacks: lin = G z - b (G = [A, -1]), quad_l = eta - ||R_l x||^2 and
+    ball = r2 - ||x||^2.  The Hessian is F^T F plus (2/ball) I on the x
+    block, where F has one row per affine constraint, a gradient row and two
+    curvature rows per cap and a gradient row for the ball; the signed sum of
+    F's rows is the barrier part of the gradient.
     """
-    K = A.shape[0]
-    stalls = 0
-    for _ in range(_MAX_NEWTON_PER_STAGE):
-        lin = A @ x - b - t
-        Rx = np.einsum("lij,j->li", R, x) if L else np.zeros((0, 2))
-        quad_s = eta - (Rx ** 2).sum(axis=1) if L else np.zeros(0)
-        ball = r2 - x @ x
 
-        grad = np.zeros(d)
-        grad[-1] = -mu
-        # affine constraints: rows g_k = [a_k, -1]
-        grad[:-1] += -(A / lin[:, None]).sum(axis=0)
-        grad[-1] += (1.0 / lin).sum()
-        # quadratic caps: grad of -log slack = 2 (R^T R x) / slack
-        if L:
-            per_l = 2.0 * np.einsum("lij,li->lj", R, Rx)    # (L, 2n)
-            grad[:-1] += (per_l / quad_s[:, None]).sum(axis=0)
-        grad[:-1] += 2.0 * x / ball
+    def __init__(self, G, b, R, eta, r2):
+        self.G, self.b, self.R, self.eta, self.r2 = G, b, R, eta, r2
+        K, d = G.shape
+        L = R.shape[0] // 2
+        self.K, self.L = K, L
+        self.F = np.zeros((K + 3 * L + 1, d))
+        self.H = np.empty((d, d))
+        self.sign = np.concatenate([-np.ones(K), np.ones(L), np.zeros(2 * L),
+                                    [1.0]])
 
-        # Hessian: rank-1 terms from every constraint gradient plus curvature
-        rows = [np.hstack([A, -np.ones((K, 1))]) / lin[:, None]]
-        if L:
-            rows.append(np.hstack([per_l, np.zeros((L, 1))]) / quad_s[:, None])
-            curv = np.hstack([R.reshape(2 * L, -1),
-                              np.zeros((2 * L, 1))]) * np.sqrt(
-                2.0 / np.repeat(quad_s, 2))[:, None]
-            rows.append(curv)
-        ballrow = np.zeros((1, d))
-        ballrow[0, :-1] = 2.0 * x / ball
-        rows.append(ballrow)
-        F = np.vstack(rows)
-        H = F.T @ F
-        H[np.arange(d - 1), np.arange(d - 1)] += 2.0 / ball
+    def center(self, z, mu, tol) -> bool:
+        """Damped Newton minimisation at ``mu`` until the squared Newton
+        decrement is at most 2*tol, updating ``z`` in place.
 
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            H[np.arange(d), np.arange(d)] += 1e-12 * max(1.0, np.trace(H) / d)
-            step = np.linalg.solve(H, -grad)
+        Returns False when the stage runs out of steps or no step decreases
+        the barrier, which only happens at the float64 floor.
+        """
+        K, L, F, H = self.K, self.L, self.F, self.H
+        R3 = self.R.reshape(L, 2, self.R.shape[1])
+        x = z[:-1]
+        for _ in range(_MAX_NEWTON_PER_STAGE):
+            lin = self.G @ z - self.b
+            Rx = (self.R @ x).reshape(L, 2)
+            quad = self.eta - np.einsum("li,li->l", Rx, Rx)
+            ball = self.r2 - x @ x
 
-        decrement = -grad @ step
-        if decrement / 2.0 <= _NEWTON_TOL:
-            return x, t, True
+            np.divide(self.G, lin[:, None], out=F[:K])
+            F[K:K + L, :-1] = \
+                2.0 * np.einsum("lij,li->lj", R3, Rx) / quad[:, None]
+            F[K + L:-1, :-1] = \
+                self.R * np.sqrt(2.0 / np.repeat(quad, 2))[:, None]
+            F[-1, :-1] = (2.0 / ball) * x
+            grad = self.sign @ F
+            grad[-1] -= mu
+            np.matmul(F.T, F, out=H)
+            H.reshape(-1)[:-1:H.shape[0] + 1] += 2.0 / ball     # x block
 
-        alpha = _line_search(x, t, step, grad, mu, A, b, R, eta, r2, L)
-        stalls = stalls + 1 if alpha < 1e-8 else 0
-        if stalls >= 3:
-            return x, t, decrement / 2.0 <= _STALL_TOL
-        x = x + alpha * step[:-1]
-        t = t + alpha * step[-1]
-    return x, t, False
+            try:
+                step = np.linalg.solve(H, -grad)
+            except np.linalg.LinAlgError:
+                d = H.shape[0]
+                H[np.arange(d), np.arange(d)] += \
+                    1e-12 * max(1.0, np.trace(H) / d)
+                step = np.linalg.solve(H, -grad)
 
+            decrement = -grad @ step
+            if decrement / 2.0 <= tol:
+                return True
+            alpha = self._line_search(x, lin, Rx, quad, ball, step, mu,
+                                      -decrement)
+            if alpha == 0.0:
+                return False
+            z += alpha * step
+        return False
 
-def _line_search(x, t, step, grad, mu, A, b, R, eta, r2, L):
-    def value(alpha):
-        xa = x + alpha * step[:-1]
-        ta = t + alpha * step[-1]
-        lin = A @ xa - b - ta
-        if lin.min() <= 0:
-            return np.inf
-        if L:
-            quad_s = eta - (np.einsum("lij,j->li", R, xa) ** 2).sum(axis=1)
-            if quad_s.min() <= 0:
-                return np.inf
-        else:
-            quad_s = np.zeros(0)
-        ball = r2 - xa @ xa
-        if ball <= 0:
-            return np.inf
-        return -mu * ta - np.log(lin).sum() \
-            - (np.log(quad_s).sum() if L else 0.0) - np.log(ball)
+    def _line_search(self, x, lin, Rx, quad, ball, step, mu, slope):
+        """Backtracking from the fraction-to-boundary step.
 
-    f0 = value(0.0)
-    slope = grad @ step
-    alpha = 1.0
-    for _ in range(60):
-        if value(alpha) <= f0 + 0.01 * alpha * slope:
-            return alpha
-        alpha *= 0.5
-    return alpha
+        Along z + alpha*step every slack is a polynomial in alpha: lin scales
+        by 1 + alpha*dl and each quadratic slack s (caps, then the ball) by
+        1 - alpha*qb - alpha^2*qa.  So the barrier change is an O(K+L) sum of
+        log1p terms, exact to rounding however large mu*t is.
+        """
+        dx = step[:-1]
+        dl = (self.G @ step) / lin
+        Rdx = (self.R @ dx).reshape(self.L, 2)
+        s = np.append(quad, ball)
+        qa = np.append(np.einsum("li,li->l", Rdx, Rdx), dx @ dx) / s
+        qb = 2.0 * np.append(np.einsum("li,li->l", Rx, Rdx), x @ dx) / s
+
+        # 1/alpha at which each slack reaches zero (0 if it never does)
+        reach = max(float((-dl).max()),
+                    float((qb + np.sqrt(qb * qb + 4.0 * qa)).max()) / 2.0)
+        alpha = _TO_BOUNDARY / max(reach, _TO_BOUNDARY)
+        dt = step[-1]
+        for _ in range(_MAX_HALVINGS):
+            change = -mu * alpha * dt - np.log1p(alpha * dl).sum() \
+                - np.log1p(-alpha * (qb + alpha * qa)).sum()
+            if change <= _ARMIJO * alpha * slope:
+                return alpha
+            alpha *= 0.5
+        return 0.0
 
 
 def _residual(problem: EpigraphProblem, w: np.ndarray, t: float) -> float:

@@ -35,6 +35,7 @@ class ScaReport:
     weights: np.ndarray
     objective_history: list     # epigraph optimum per iteration, nondecreasing
     iterations: int
+    nonoptimal_subproblems: int   # subproblems not returned "optimal"
 
 
 def surrogate_gain(weights, expansion_point, composite_v) -> float:
@@ -77,6 +78,7 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
     t_prev = None
     history = []
     iterations = 0
+    nonoptimal = 0
     for _ in range(config.max_iterations):
         iterations += 1
         linear_terms = [v * np.vdot(v, w) for v in v_desired]
@@ -85,15 +87,15 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
                                   quad_cap=eta, ball_radius=1.0)
         sol = solve_epigraph(problem, warm_start=w,
                              tolerance=config.subproblem_tolerance)
-        if sol.status == "infeasible":
-            raise RuntimeError("epigraph subproblem reported infeasible")
+        nonoptimal += sol.status != "optimal"
         w = sol.weights
         history.append(sol.objective)
         if t_prev is not None and sol.objective - t_prev < config.delta_threshold:
             break
         t_prev = sol.objective
 
-    return ScaReport(weights=w, objective_history=history, iterations=iterations)
+    return ScaReport(weights=w, objective_history=history, iterations=iterations,
+                     nonoptimal_subproblems=nonoptimal)
 
 
 def min_desired_gain(weights, pattern, geometry, rotations_deg, scenario) -> float:

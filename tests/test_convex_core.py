@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from ra_beamkit.array_model import (ArrayGeometry, RadiationPattern,
+from ra_beamkit import sca
+from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
+                                    RadiationPattern, Scenario,
                                     composite_response, steering_vector)
 from ra_beamkit.convex_core import EpigraphProblem, solve_epigraph
 
@@ -42,6 +44,44 @@ def sample_best_feasible(problem, count, seed):
             best = max(best, float(obj.max()))
         remaining -= m
     return best
+
+
+def certified_gap(problem, sol):
+    """Lagrange-dual gap of the returned (w, t), recovered from them alone.
+
+    At a barrier centre every multiplier is 1/(mu*slack), and the t row of
+    the centring condition (affine multipliers sum to one) fixes mu.  The
+    dual value g bounds the optimum from above, so g - t bounds how far the
+    returned objective can be below the optimum.
+    """
+    w, t = sol.weights, sol.objective
+    C = np.array(problem.linear_terms)
+    b = np.array(problem.offsets)
+    V = np.array(problem.quad_vectors).reshape(-1, problem.dim)
+    lin = 2 * np.real(C.conj() @ w) - b - t
+    s = problem.quad_cap - np.abs(V.conj() @ w) ** 2
+    ball = problem.ball_radius ** 2 - np.vdot(w, w).real
+    mu = np.sum(1 / lin)
+    lam, u, nu = 1 / (mu * lin), 1 / (mu * s), 1 / (mu * ball)
+    c = lam @ C
+    M = (V.T * u) @ V.conj() + nu * np.eye(problem.dim)
+    g = np.vdot(c, np.linalg.solve(M, c)).real - lam @ b \
+        + problem.quad_cap * u.sum() + nu * problem.ball_radius ** 2
+    return g - t
+
+
+def weight_step_problem(n, K, L, seed):
+    """A weight-step subproblem at random directions, rotations and start."""
+    rng = np.random.default_rng(seed)
+    geo = ArrayGeometry(n)
+    rot = rng.uniform(-60.0, 60.0, n)
+    angles = rng.choice(np.arange(10.0, 175.0, 5.0), K + L, replace=False)
+    vs = [composite_response(RadiationPattern(), geo, rot, a) for a in angles]
+    w0 = np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
+    problem = EpigraphProblem([v * np.vdot(v, w0) for v in vs[:K]],
+                              [abs(np.vdot(v, w0)) ** 2 for v in vs[:K]],
+                              vs[K:], quad_cap=0.1)
+    return problem, w0
 
 
 def test_single_term_recovers_mrc_gain():
@@ -125,6 +165,45 @@ def test_random_small_instances_match_sampling_oracle(seed):
     assert sol.feasibility_residual <= 1e-8
     mc = sample_best_feasible(problem, 200_000, seed + 1000)
     assert sol.objective >= mc - 1e-3
+
+
+@pytest.mark.parametrize("n,K,L,seed", [(15, 2, 2, seed) for seed in range(6)]
+                         + [(30, 5, 6, seed) for seed in range(3)])
+def test_dual_certificate_weight_step(n, K, L, seed):
+    # the only oracle that reaches dimension 30, where sampling cannot
+    problem, w0 = weight_step_problem(n, K, L, seed)
+    sol = solve_epigraph(problem, warm_start=w0)
+    assert sol.status == "optimal"
+    assert certified_gap(problem, sol) <= 1e-6
+
+
+def test_dual_certificate_frozen_instance():
+    problem = EpigraphProblem([FROZEN_C1, FROZEN_C2], [0.8, 0.2], [FROZEN_V1],
+                              quad_cap=0.4)
+    assert certified_gap(problem, solve_epigraph(problem)) <= 1e-6
+
+
+@pytest.mark.parametrize("theta", [0.0, 57.5 - 90.0])
+def test_dual_certificate_sca_subproblems(monkeypatch, theta):
+    # the close-pair weight step (N=15, K=2, L=2) from a fixed random start,
+    # with every element at broadside and aimed between the two beams
+    solved = []
+
+    def recording(problem, **kwargs):
+        sol = solve_epigraph(problem, **kwargs)
+        solved.append((problem, sol))
+        return sol
+
+    monkeypatch.setattr(sca, "solve_epigraph", recording)
+    geo = ArrayGeometry(15)
+    sc = Scenario((55.0, 60.0), (20.0, 160.0), -10.0)
+    rng = np.random.default_rng(0)
+    w0 = np.exp(1j * rng.uniform(0, 2 * np.pi, 15)) / np.sqrt(15)
+    sca.optimize_weights(BeamformerState(w0, np.full(15, theta)), sc,
+                         RadiationPattern(), geo, sca.ScaConfig())
+    assert solved
+    for problem, sol in solved:
+        assert certified_gap(problem, sol) <= 1e-6
 
 
 def test_warm_start_does_not_change_answer():

@@ -136,3 +136,14 @@ class TestOptimizeWeights:
         assert report.iterations <= 100
         assert g_out > g_in
         assert g_out == pytest.approx(CLOSE_BEAMS_SCA_GAIN, rel=1e-6)
+
+    def test_close_beams_subproblems_certified(self):
+        # every subproblem of this run must come back certified ("optimal"),
+        # not stalled at the float64 floor ("max_iterations")
+        geo = ArrayGeometry(15)
+        sc = Scenario((55.0, 60.0), (20.0, 160.0), -10.0)
+        rng = np.random.default_rng(0)
+        w0 = np.exp(1j * rng.uniform(0, 2 * np.pi, 15)) / np.sqrt(15)
+        report = optimize_weights(BeamformerState(w0, np.zeros(15)), sc, PAT,
+                                  geo, ScaConfig())
+        assert report.nonoptimal_subproblems == 0
