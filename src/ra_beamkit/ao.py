@@ -42,6 +42,7 @@ class RunReport:
     outer_iterations: int
     scheme: str               # "RA" | "FOA" | "IA"
     seed: int
+    nonoptimal_subproblems: int   # weight-step subproblems not "optimal"
 
 
 def random_initial_weights(num_antennas: int, seed) -> np.ndarray:
@@ -97,12 +98,14 @@ def solve_ra(scenario: Scenario, pattern: RadiationPattern,
     history = []
     obj_prev = -np.inf
     outer = 0
+    nonoptimal = 0
     for m in range(1, config.max_outer_iterations + 1):
         outer = m
         sca_report = optimize_weights(
             BeamformerState(weights, rotations), scenario, pattern, geometry,
             config.sca)
         weights = sca_report.weights
+        nonoptimal += sca_report.nonoptimal_subproblems
         pso_cfg = replace(config.pso,
                           rng_seed=_pso_child_seed(config.pso.rng_seed, m))
         rotations, _ = optimize_rotations(weights, rotations, scenario,
@@ -123,7 +126,8 @@ def solve_ra(scenario: Scenario, pattern: RadiationPattern,
         objective_history=history,
         outer_iterations=outer,
         scheme="RA",
-        seed=int(seed if seed is not None else config.pso.rng_seed))
+        seed=int(seed if seed is not None else config.pso.rng_seed),
+        nonoptimal_subproblems=nonoptimal)
 
 
 def _solve_weights_only(scenario, pattern, geometry, initial_weights, config,
@@ -141,11 +145,13 @@ def _solve_weights_only(scenario, pattern, geometry, initial_weights, config,
     history = []
     obj_prev = -np.inf
     outer = 0
+    nonoptimal = 0
     for _ in range(config.max_outer_iterations):
         outer += 1
         report = optimize_weights(BeamformerState(weights, rotations),
                                   scenario, pattern, geometry, config.sca)
         weights = report.weights
+        nonoptimal += report.nonoptimal_subproblems
         objective = min_desired_gain(weights, pattern, geometry, rotations,
                                      scenario)
         history.append(objective)
@@ -161,7 +167,8 @@ def _solve_weights_only(scenario, pattern, geometry, initial_weights, config,
         objective_history=history,
         outer_iterations=outer,
         scheme=scheme,
-        seed=int(seed if seed is not None else config.pso.rng_seed))
+        seed=int(seed if seed is not None else config.pso.rng_seed),
+        nonoptimal_subproblems=nonoptimal)
 
 
 def solve_foa(scenario: Scenario, pattern: RadiationPattern,

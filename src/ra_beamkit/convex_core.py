@@ -8,9 +8,24 @@ Solves, over complex weights w and a scalar t:
                ||w||_2 <= ball_radius
 
 The feasible set is never empty (w = 0 with t small enough always works), and
-instances here are tiny (N up to a few dozen, K+L up to ~16), so a log-barrier
-interior-point method with damped Newton steps is used (Boyd & Vandenberghe
-2004, section 11.3).  Complex variables are stacked into reals internally.
+instances here are tiny (K+L up to ~16), so a log-barrier interior-point
+method with damped Newton steps is used (Boyd & Vandenberghe 2004, section
+11.3).
+
+The problem sees w only through the K+L inner products c_k^H w, v_l^H w and
+through ||w||.  A part of w outside the span of those vectors changes no inner
+product and only uses up the norm ball, so every barrier centre lies in the
+span.  The solver therefore takes Q, the r = min(N, K+L) orthonormal columns
+of the reduced QR factor of [c_1 ... c_K, v_1 ... v_L], and runs the barrier
+on w = Q y over the 2r+1 reals z = [Re y; Im y; t].  Q contains the span even
+when the vectors are dependent, so no rank threshold is needed.  Past that one
+QR the cost of a solve does not depend on N.
+
+Every constraint has one slack form, s_i = a_i + g_i^T z - z^T P_i z: P_i = 0
+for the affine rows, the real form of v_l v_l^H (in the basis) for each cap
+and the identity on the y block for the ball.  The barrier gradient is
+-sum (g_i - 2 P_i z)/s_i - mu e_t and its Hessian J^T J + sum 2 P_i/s_i, with
+J the rows (g_i - 2 P_i z)/s_i.
 
 At a centring parameter mu the barrier bound gives optimum - t <= m/mu, with m
 the constraint count.  The mu schedule grows by a fixed factor and ends exactly
@@ -20,13 +35,13 @@ point recovered from the returned (w, t) certifies slightly more than m/mu
 (measured up to 4e-5 relative).  Only the final stage certifies the gap, so
 only it is centred tightly; earlier stages stop at a loose Newton decrement.
 
-Each Newton step first goes to a fraction of the distance to the boundary of
-the feasible set (Nocedal & Wright 2006, section 19.2): closed form for the
-affine rows and the positive root of a quadratic for each cap and the ball.
-The backtracking search then tests the change of the barrier directly as a
-sum of log1p terms, never as the difference of two barrier values.  Those
-values are of size mu*|t| ~ 1e9 at the last stage, so their difference carries
-rounding larger than the decrease being tested.
+Along a Newton step every slack is s_i (1 + alpha d1_i - alpha^2 d2_i).  Each
+step first goes to a fraction of the distance to the boundary of the feasible
+set (Nocedal & Wright 2006, section 19.2), the smallest positive root of those
+polynomials.  The backtracking search then tests the change of the barrier
+directly as a sum of log1p terms, never as the difference of two barrier
+values.  Those values are of size mu*|t| ~ 1e9 at the last stage, so their
+difference carries rounding larger than the decrease being tested.
 
 A gap target below about 1e-8 asks for more than float64 can centre: such
 solves may end with status "max_iterations".
@@ -48,24 +63,30 @@ _MAX_HALVINGS = 60
 
 @dataclass
 class EpigraphProblem:
-    linear_terms: list        # K complex vectors c_k
-    offsets: list             # K reals b_k
-    quad_vectors: list        # L complex vectors v_l
+    linear_terms: np.ndarray  # (K, N) complex, rows c_k; lists are accepted
+    offsets: np.ndarray       # (K,) reals b_k
+    quad_vectors: np.ndarray  # (L, N) complex, rows v_l
     quad_cap: float
     ball_radius: float = 1.0
 
     def __post_init__(self):
-        self.linear_terms = [np.asarray(c, dtype=complex) for c in self.linear_terms]
-        self.quad_vectors = [np.asarray(v, dtype=complex) for v in self.quad_vectors]
-        self.offsets = [float(b) for b in self.offsets]
-        if len(self.linear_terms) < 1:
+        try:
+            C = np.asarray(self.linear_terms, dtype=complex)
+            V = np.asarray(self.quad_vectors, dtype=complex)
+        except ValueError as exc:       # ragged lists of vectors
+            raise ValueError("all problem vectors must share one length") from exc
+        if len(C) < 1:
             raise ValueError("at least one linear term is required")
-        if len(self.offsets) != len(self.linear_terms):
+        if C.ndim != 2:
+            raise ValueError("linear_terms must be a (K, N) array of vectors")
+        if V.size == 0:
+            V = V.reshape(0, C.shape[1])
+        if V.ndim != 2 or V.shape[1] != C.shape[1]:
+            raise ValueError("all problem vectors must share one length")
+        self.linear_terms, self.quad_vectors = C, V
+        self.offsets = np.asarray(self.offsets, dtype=float)
+        if self.offsets.shape != (len(C),):
             raise ValueError("offsets and linear_terms lengths differ")
-        n = self.linear_terms[0].shape[0]
-        for vec in self.linear_terms + self.quad_vectors:
-            if vec.shape != (n,):
-                raise ValueError("all problem vectors must share one length")
         if not self.quad_cap > 0:
             raise ValueError("quad_cap must be > 0")
         if not self.ball_radius > 0:
@@ -73,7 +94,7 @@ class EpigraphProblem:
 
     @property
     def dim(self) -> int:
-        return self.linear_terms[0].shape[0]
+        return self.linear_terms.shape[1]
 
 
 @dataclass
@@ -84,19 +105,8 @@ class ConvexSolution:
     status: str               # "optimal" | "max_iterations"
 
 
-def _stack(w: np.ndarray) -> np.ndarray:
-    return np.concatenate([w.real, w.imag])
-
-
-def _unstack(x: np.ndarray) -> np.ndarray:
-    n = x.shape[0] // 2
-    return x[:n] + 1j * x[n:]
-
-
-def _quad_rows(v: np.ndarray) -> np.ndarray:
-    """Two orthogonal real rows r with |v^H w|^2 = ||r @ x||^2 for x = stack(w)."""
-    return np.stack([np.concatenate([v.real, v.imag]),
-                     np.concatenate([-v.imag, v.real])])
+def _stack(u: np.ndarray) -> np.ndarray:
+    return np.concatenate([u.real, u.imag], axis=-1)
 
 
 def solve_epigraph(problem: EpigraphProblem, warm_start=None,
@@ -109,161 +119,129 @@ def solve_epigraph(problem: EpigraphProblem, warm_start=None,
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
-    n = problem.dim
-    K = len(problem.linear_terms)
-    L = len(problem.quad_vectors)
-    m = K + L + 1                       # constraint count incl. the norm ball
+    C, V = problem.linear_terms, problem.quad_vectors
+    Q = np.linalg.qr(np.concatenate([C, V]).T)[0]        # (N, r)
+    C_r, V_r = C @ Q.conj(), V @ Q.conj()                # rows Q^H c_k, Q^H v_l
 
-    A = np.array([2.0 * _stack(c) for c in problem.linear_terms])      # (K, 2n)
-    b = np.asarray(problem.offsets)
-    R = np.array([_quad_rows(v) for v in problem.quad_vectors]).reshape(
-        2 * L, 2 * n)                   # rows 2l, 2l+1 belong to cap l
-
-    x = _feasible_start(problem, warm_start, R)
-    margins = A @ x - b
+    y = _feasible_start(problem, warm_start, Q, V_r)
+    margins = 2.0 * (C_r.conj() @ y).real - problem.offsets
     t = float(margins.min()) - max(1.0, 0.05 * (np.abs(margins).max() + 1.0))
-    z = np.append(x, t)                 # [Re w; Im w; t]
+    z = np.append(_stack(y), t)
+    a, G, P = _slack_form(C_r, problem.offsets, V_r, problem.quad_cap,
+                          problem.ball_radius ** 2)
 
-    barrier = _Barrier(np.hstack([A, -np.ones((K, 1))]), b, R,
-                       problem.quad_cap, problem.ball_radius ** 2)
-    mu_final = _GAP_MARGIN * m / min(tolerance, 1e-6)
+    mu_final = _GAP_MARGIN * len(a) / min(tolerance, 1e-6)
     mu = 1.0
     status = "optimal"
     while True:
-        if not barrier.center(z, mu, _NEWTON_TOL if mu == mu_final
-                              else _STAGE_TOL):
+        if not _center(z, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL,
+                       a, G, P):
             status = "max_iterations"
             break
         if mu == mu_final:
             break
         mu = min(mu * _MU_FACTOR, mu_final)
 
-    w = _unstack(z[:-1])
+    r = Q.shape[1]
+    w = Q @ (z[:r] + 1j * z[r:-1])
     t = float(z[-1])
-    residual = _residual(problem, w, t)
     return ConvexSolution(weights=w, objective=t,
-                          feasibility_residual=residual, status=status)
+                          feasibility_residual=_residual(problem, w, t),
+                          status=status)
 
 
-def _feasible_start(problem, warm_start, R):
-    """Strictly interior stacked point, shrinking the warm start if needed."""
-    n = problem.dim
+def _feasible_start(problem, warm_start, Q, V_r):
+    """Strictly interior y, from the warm start projected on the basis and
+    shrunk if needed."""
     if warm_start is None:
-        return np.zeros(2 * n)
+        return np.zeros(Q.shape[1], dtype=complex)
     w = np.asarray(warm_start, dtype=complex)
-    if w.shape != (n,):
+    if w.shape != (problem.dim,):
         raise ValueError("warm_start length does not match the problem")
-    x = _stack(w)
-    nrm = np.linalg.norm(x)
+    y = Q.conj().T @ w
+    nrm = np.linalg.norm(y)
     if nrm > 0:
-        x *= min(1.0, 0.999 * problem.ball_radius / nrm)
-    if len(problem.quad_vectors):
-        worst = ((R @ x) ** 2).reshape(-1, 2).sum(axis=1).max()
+        y *= min(1.0, 0.999 * problem.ball_radius / nrm)
+    if len(V_r):
+        worst = (np.abs(V_r.conj() @ y) ** 2).max()
         if worst >= 0.999 * problem.quad_cap:
-            x *= np.sqrt(0.999 * problem.quad_cap / worst)
-    return x
+            y *= np.sqrt(0.999 * problem.quad_cap / worst)
+    return y
 
 
-class _Barrier:
-    """The barrier -mu*t - sum log(slack) over z = [x; t], with the Newton
-    matrices preallocated once per solve.
+def _slack_form(C_r, b, V_r, eta, r2):
+    """(a, G, P) with slack_i = a_i + G_i z - z^T P_i z, over
+    z = [Re y; Im y; t]: K affine rows, then L caps, then the ball."""
+    K, r = C_r.shape
+    L = len(V_r)
+    a = np.concatenate([-b, np.full(L, eta), [r2]])
+    G = np.zeros((K + L + 1, 2 * r + 1))
+    G[:K, :-1] = 2.0 * _stack(C_r)             # 2 Re{c^H y} = G_k [Re y; Im y]
+    G[:K, -1] = -1.0
+    # |v^H y|^2 = ||R x||^2 with rows R = [Re v, Im v] and [-Im v, Re v]
+    R = np.stack([_stack(V_r), _stack(1j * V_r)], axis=1)
+    P = np.zeros((K + L + 1, 2 * r + 1, 2 * r + 1))
+    P[K:K + L, :-1, :-1] = np.einsum("lki,lkj->lij", R, R)
+    P[-1, :-1, :-1] = np.eye(2 * r)
+    return a, G, P
 
-    Slacks: lin = G z - b (G = [A, -1]), quad_l = eta - ||R_l x||^2 and
-    ball = r2 - ||x||^2.  The Hessian is F^T F plus (2/ball) I on the x
-    block, where F has one row per affine constraint, a gradient row and two
-    curvature rows per cap and a gradient row for the ball; the signed sum of
-    F's rows is the barrier part of the gradient.
+
+def _center(z, mu, tol, a, G, P) -> bool:
+    """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu`` until
+    the squared Newton decrement is at most 2*tol, updating ``z`` in place.
+
+    Returns False when the stage runs out of steps or no step decreases the
+    barrier, which only happens at the float64 floor.
     """
+    d = len(z)
+    P_flat = P.reshape(len(P), d * d)
+    for _ in range(_MAX_NEWTON_PER_STAGE):
+        Pz = P @ z
+        s = a + G @ z - Pz @ z
+        J = (G - 2.0 * Pz) / s[:, None]
+        grad = -J.sum(axis=0)
+        grad[-1] -= mu
+        H = J.T @ J + ((2.0 / s) @ P_flat).reshape(d, d)
+        try:
+            step = np.linalg.solve(H, -grad)
+        except np.linalg.LinAlgError:
+            H[np.arange(d), np.arange(d)] += 1e-12 * max(1.0, np.trace(H) / d)
+            step = np.linalg.solve(H, -grad)
 
-    def __init__(self, G, b, R, eta, r2):
-        self.G, self.b, self.R, self.eta, self.r2 = G, b, R, eta, r2
-        K, d = G.shape
-        L = R.shape[0] // 2
-        self.K, self.L = K, L
-        self.F = np.zeros((K + 3 * L + 1, d))
-        self.H = np.empty((d, d))
-        self.sign = np.concatenate([-np.ones(K), np.ones(L), np.zeros(2 * L),
-                                    [1.0]])
+        decrement = -grad @ step
+        if decrement / 2.0 <= tol:
+            return True
+        # a negative d2 is rounding in the quadratic form of a PSD P_i
+        d2 = np.maximum((P @ step) @ step / s, 0.0)
+        alpha = _line_search(J @ step, d2, step[-1], mu, -decrement)
+        if alpha == 0.0:
+            return False
+        z += alpha * step
+    return False
 
-    def center(self, z, mu, tol) -> bool:
-        """Damped Newton minimisation at ``mu`` until the squared Newton
-        decrement is at most 2*tol, updating ``z`` in place.
 
-        Returns False when the stage runs out of steps or no step decreases
-        the barrier, which only happens at the float64 floor.
-        """
-        K, L, F, H = self.K, self.L, self.F, self.H
-        R3 = self.R.reshape(L, 2, self.R.shape[1])
-        x = z[:-1]
-        for _ in range(_MAX_NEWTON_PER_STAGE):
-            lin = self.G @ z - self.b
-            Rx = (self.R @ x).reshape(L, 2)
-            quad = self.eta - np.einsum("li,li->l", Rx, Rx)
-            ball = self.r2 - x @ x
+def _line_search(d1, d2, dt, mu, slope):
+    """Backtracking from the fraction-to-boundary step.
 
-            np.divide(self.G, lin[:, None], out=F[:K])
-            F[K:K + L, :-1] = \
-                2.0 * np.einsum("lij,li->lj", R3, Rx) / quad[:, None]
-            F[K + L:-1, :-1] = \
-                self.R * np.sqrt(2.0 / np.repeat(quad, 2))[:, None]
-            F[-1, :-1] = (2.0 / ball) * x
-            grad = self.sign @ F
-            grad[-1] -= mu
-            np.matmul(F.T, F, out=H)
-            H.reshape(-1)[:-1:H.shape[0] + 1] += 2.0 / ball     # x block
-
-            try:
-                step = np.linalg.solve(H, -grad)
-            except np.linalg.LinAlgError:
-                d = H.shape[0]
-                H[np.arange(d), np.arange(d)] += \
-                    1e-12 * max(1.0, np.trace(H) / d)
-                step = np.linalg.solve(H, -grad)
-
-            decrement = -grad @ step
-            if decrement / 2.0 <= tol:
-                return True
-            alpha = self._line_search(x, lin, Rx, quad, ball, step, mu,
-                                      -decrement)
-            if alpha == 0.0:
-                return False
-            z += alpha * step
-        return False
-
-    def _line_search(self, x, lin, Rx, quad, ball, step, mu, slope):
-        """Backtracking from the fraction-to-boundary step.
-
-        Along z + alpha*step every slack is a polynomial in alpha: lin scales
-        by 1 + alpha*dl and each quadratic slack s (caps, then the ball) by
-        1 - alpha*qb - alpha^2*qa.  So the barrier change is an O(K+L) sum of
-        log1p terms, exact to rounding however large mu*t is.
-        """
-        dx = step[:-1]
-        dl = (self.G @ step) / lin
-        Rdx = (self.R @ dx).reshape(self.L, 2)
-        s = np.append(quad, ball)
-        qa = np.append(np.einsum("li,li->l", Rdx, Rdx), dx @ dx) / s
-        qb = 2.0 * np.append(np.einsum("li,li->l", Rx, Rdx), x @ dx) / s
-
-        # 1/alpha at which each slack reaches zero (0 if it never does)
-        reach = max(float((-dl).max()),
-                    float((qb + np.sqrt(qb * qb + 4.0 * qa)).max()) / 2.0)
-        alpha = _TO_BOUNDARY / max(reach, _TO_BOUNDARY)
-        dt = step[-1]
-        for _ in range(_MAX_HALVINGS):
-            change = -mu * alpha * dt - np.log1p(alpha * dl).sum() \
-                - np.log1p(-alpha * (qb + alpha * qa)).sum()
-            if change <= _ARMIJO * alpha * slope:
-                return alpha
-            alpha *= 0.5
-        return 0.0
+    Along z + alpha*step each slack scales by 1 + alpha*d1 - alpha^2*d2, so
+    the barrier change is an O(K+L) sum of log1p terms, exact to rounding
+    however large mu*t is.
+    """
+    # 1/alpha at which each slack reaches zero (0 if it never does)
+    reach = float((np.sqrt(d1 * d1 + 4.0 * d2) - d1).max()) / 2.0
+    alpha = _TO_BOUNDARY / max(reach, _TO_BOUNDARY)
+    for _ in range(_MAX_HALVINGS):
+        change = -mu * alpha * dt - np.log1p(alpha * (d1 - alpha * d2)).sum()
+        if change <= _ARMIJO * alpha * slope:
+            return alpha
+        alpha *= 0.5
+    return 0.0
 
 
 def _residual(problem: EpigraphProblem, w: np.ndarray, t: float) -> float:
     """Worst constraint violation of (w, t); zero for interior points."""
-    viol = [np.linalg.norm(w) - problem.ball_radius]
-    for v in problem.quad_vectors:
-        viol.append(abs(np.vdot(v, w)) ** 2 - problem.quad_cap)
-    for c, b in zip(problem.linear_terms, problem.offsets):
-        viol.append(t - (2.0 * np.real(np.vdot(c, w)) - b))
-    return float(max(0.0, max(viol)))
+    viol = np.concatenate([
+        [np.linalg.norm(w) - problem.ball_radius],
+        np.abs(problem.quad_vectors.conj() @ w) ** 2 - problem.quad_cap,
+        t - (2.0 * (problem.linear_terms.conj() @ w).real - problem.offsets)])
+    return float(max(0.0, viol.max()))

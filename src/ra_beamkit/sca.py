@@ -67,10 +67,10 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
                          "point stalls the surrogate)")
     rotations = np.asarray(state.rotations_deg, dtype=float)
 
-    v_desired = [composite_response(pattern, geometry, rotations, ang)
-                 for ang in scenario.desired_angles_deg]
-    v_interf = [composite_response(pattern, geometry, rotations, ang)
-                for ang in scenario.interference_angles_deg]
+    V_desired = np.array([composite_response(pattern, geometry, rotations, ang)
+                          for ang in scenario.desired_angles_deg])     # (K, N)
+    V_interf = np.array([composite_response(pattern, geometry, rotations, ang)
+                         for ang in scenario.interference_angles_deg])  # (L, N)
     eta = scenario.eta_max_linear
 
     # convergence is judged on consecutive subproblem optima; a first optimum
@@ -81,10 +81,9 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
     nonoptimal = 0
     for _ in range(config.max_iterations):
         iterations += 1
-        linear_terms = [v * np.vdot(v, w) for v in v_desired]
-        offsets = [abs(np.vdot(v, w)) ** 2 for v in v_desired]
-        problem = EpigraphProblem(linear_terms, offsets, v_interf,
-                                  quad_cap=eta, ball_radius=1.0)
+        inner = V_desired.conj() @ w            # v_k^H w
+        problem = EpigraphProblem(V_desired * inner[:, None], np.abs(inner) ** 2,
+                                  V_interf, quad_cap=eta, ball_radius=1.0)
         sol = solve_epigraph(problem, warm_start=w,
                              tolerance=config.subproblem_tolerance)
         nonoptimal += sol.status != "optimal"

@@ -2,7 +2,8 @@
 
 Scenario files are JSON documents.  All keys are optional except
 ``desired_angles_deg``; unknown keys anywhere are rejected.  Numeric keys
-carry their unit in the suffix (``_deg``, ``_db``).
+carry their unit in the suffix (``_deg``, ``_db``) and must be finite: the
+``NaN`` and ``Infinity`` literals that Python's json module reads are rejected.
 
 Schema (defaults in parentheses)::
 
@@ -35,6 +36,7 @@ Schema (defaults in parentheses)::
 """
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 from .ao import AoConfig
@@ -79,10 +81,21 @@ def _require_keys(mapping, allowed, context):
             raise ScenarioError(f"unknown key '{key}' in {context}")
 
 
+def _is_finite(value) -> bool:
+    """A JSON number that is a finite float (NaN, Infinity and integers
+    beyond the float range are not)."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(mapping, key, default, context, positive=False):
     value = mapping.get(key, default)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ScenarioError(f"key '{key}' in {context} must be a number")
+    if not _is_finite(value):
+        raise ScenarioError(f"key '{key}' in {context} must be finite")
     if positive and not value > 0:
         raise ScenarioError(f"key '{key}' in {context} must be > 0")
     return float(value)
@@ -104,6 +117,8 @@ def _angle_list(mapping, key, default, context, required=False):
     if not isinstance(value, list) or \
             any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in value):
         raise ScenarioError(f"key '{key}' in {context} must be a list of numbers")
+    if not all(_is_finite(a) for a in value):
+        raise ScenarioError(f"key '{key}' in {context} must hold finite numbers")
     return [float(a) for a in value]
 
 

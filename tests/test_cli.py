@@ -120,6 +120,17 @@ def test_unknown_key_exits_1(tmp_path, capsys):
     assert "bogus" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key,literal", [("eta_max_db", "NaN"),
+                                         ("pattern_sample_step_deg", "Infinity")])
+def test_non_finite_number_exits_1(tmp_path, capsys, key, literal):
+    # before, NaN reached the solver (exit 2) and Infinity wrote a one-row
+    # pattern (exit 0)
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"desired_angles_deg": [90.0], "{key}": {literal}}}')
+    assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(tmp_path):
     assert main(["run", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "o")]) == 3

@@ -226,3 +226,77 @@ def test_input_validation():
     with pytest.raises(ValueError):
         solve_epigraph(EpigraphProblem([np.ones(2)], [0.0], [], quad_cap=1.0),
                        tolerance=0.0)
+
+
+@pytest.mark.parametrize("extra,seed", [(1, 0), (5, 1), (17, 2)])
+def test_unitary_embedding_keeps_the_answer(extra, seed):
+    # the same problem written in N + extra dimensions, turned by a random
+    # unitary: the solver works in the span of the vectors, so the answer
+    # cannot depend on the dimension or the coordinates around it
+    problem, w0 = weight_step_problem(15, 2, 2, seed)
+    n = problem.dim + extra
+    rng = np.random.default_rng(100 + seed)
+    U = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+
+    def embed(rows):
+        return np.pad(rows, ((0, 0), (0, extra))) @ U.T
+
+    big = EpigraphProblem(embed(problem.linear_terms), problem.offsets,
+                          embed(problem.quad_vectors), problem.quad_cap)
+    base = solve_epigraph(problem, warm_start=w0)
+    sol = solve_epigraph(big, warm_start=embed(w0[None, :])[0])
+    assert sol.status == "optimal"
+    assert sol.objective == pytest.approx(base.objective, abs=1e-9)
+    assert certified_gap(big, sol) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_rank_deficient_single_antenna(seed):
+    # N = 1 with K = L = 2: four vectors in a one-dimensional space
+    rng = np.random.default_rng(seed)
+    cs = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    vs = rng.normal(size=(2, 1)) + 1j * rng.normal(size=(2, 1))
+    problem = EpigraphProblem(cs, rng.uniform(0, 1, 2), vs,
+                              quad_cap=float(rng.uniform(0.2, 1.0)))
+    sol = solve_epigraph(problem)
+    assert sol.status == "optimal"
+    assert sol.feasibility_residual <= 1e-8
+    assert certified_gap(problem, sol) <= 1e-6
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_rank_deficient_cap_parallel_to_objective(seed):
+    # a cap vector parallel to c_1 makes the K+L vectors dependent
+    problem, w0 = weight_step_problem(15, 2, 2, seed)
+    caps = problem.quad_vectors.copy()
+    caps[0] = (0.3 - 0.7j) * problem.linear_terms[0]
+    dependent = EpigraphProblem(problem.linear_terms, problem.offsets, caps,
+                                quad_cap=problem.quad_cap)
+    sol = solve_epigraph(dependent, warm_start=w0)
+    assert sol.status == "optimal"
+    assert sol.feasibility_residual <= 1e-8
+    assert certified_gap(dependent, sol) <= 1e-6
+
+
+@pytest.mark.parametrize("n,K,L,seed", [(15, 2, 2, 0), (30, 5, 6, 1), (4, 3, 2, 2)])
+def test_weights_lie_in_the_span(n, K, L, seed):
+    problem, w0 = weight_step_problem(n, K, L, seed)
+    w = solve_epigraph(problem, warm_start=w0).weights
+    Q = np.linalg.qr(np.concatenate([problem.linear_terms,
+                                     problem.quad_vectors]).T)[0]
+    assert np.linalg.norm(w - Q @ (Q.conj().T @ w)) <= 1e-12 * np.linalg.norm(w)
+
+
+def test_problem_accepts_lists_and_arrays():
+    problem, _ = weight_step_problem(8, 2, 1, 0)
+    as_lists = EpigraphProblem(list(problem.linear_terms),
+                               list(problem.offsets),
+                               list(problem.quad_vectors), problem.quad_cap)
+    assert as_lists.linear_terms.shape == (2, 8)
+    assert as_lists.quad_vectors.shape == (1, 8)
+    no_caps = EpigraphProblem(problem.linear_terms, problem.offsets, [], 0.1)
+    assert no_caps.quad_vectors.shape == (0, 8)
+    with pytest.raises(ValueError):
+        EpigraphProblem([np.ones(2), np.ones(3)], [0.0, 0.0], [], quad_cap=0.1)
+    with pytest.raises(ValueError):
+        EpigraphProblem([np.ones(2)], [0.0, 1.0], [], quad_cap=0.1)

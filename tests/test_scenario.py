@@ -122,3 +122,34 @@ def test_override_spec():
         override_spec(spec, schemes=["bogus"])
     with pytest.raises(ScenarioError):
         override_spec(spec, seed_count=0)
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({**MINIMAL, "eta_max_db": float("nan")}, "eta_max_db"),
+    ({**MINIMAL, "pattern_sample_step_deg": float("inf")},
+     "pattern_sample_step_deg"),
+    ({**MINIMAL, "spacing_wavelengths": 10 ** 400}, "spacing_wavelengths"),
+    ({**MINIMAL, "pattern": {"max_gain_dbi": float("-inf")}}, "max_gain_dbi"),
+    ({**MINIMAL, "solver": {"sca": {"subproblem_tolerance": float("nan")}}},
+     "subproblem_tolerance"),
+    ({**MINIMAL, "solver": {"pso": {"penalty_factor": float("inf")}}},
+     "penalty_factor"),
+    ({"desired_angles_deg": [float("nan")]}, "desired_angles_deg"),
+    ({**MINIMAL, "interference_angles_deg": [float("inf")]},
+     "interference_angles_deg"),
+])
+def test_non_finite_numbers_rejected(doc, key):
+    with pytest.raises(ScenarioError, match=f"'{key}'.*finite"):
+        parse_scenario(doc)
+
+
+def test_non_finite_literals_in_file_rejected(tmp_path):
+    # Python's json module reads NaN and Infinity, which strict JSON lacks
+    path = tmp_path / "scenario.json"
+    path.write_text('{"desired_angles_deg": [60.0], "eta_max_db": NaN}')
+    with pytest.raises(ScenarioError, match="eta_max_db"):
+        load_scenario(path)
+    path.write_text('{"desired_angles_deg": [60.0], '
+                    '"pattern_sample_step_deg": Infinity}')
+    with pytest.raises(ScenarioError, match="pattern_sample_step_deg"):
+        load_scenario(path)
