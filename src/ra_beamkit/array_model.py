@@ -136,9 +136,8 @@ def element_gain_dbi(pattern: RadiationPattern, steer_deg):
     arrays and returns the same shape.
     """
     rel = np.asarray(steer_deg, dtype=float) - 90.0
-    rolloff = 12.0 * (rel / pattern.beamwidth_3db_deg) ** 2
-    attenuation = np.minimum(np.minimum(rolloff, pattern.sidelobe_limit_db),
-                             pattern.front_to_back_db)
+    attenuation = np.minimum(12.0 * (rel / pattern.beamwidth_3db_deg) ** 2,
+                             min(pattern.sidelobe_limit_db, pattern.front_to_back_db))
     gain = pattern.max_gain_dbi - attenuation
     return gain if np.ndim(steer_deg) else float(gain)
 
@@ -159,45 +158,58 @@ def rotation_bounds(pattern: RadiationPattern) -> RotationBounds:
     return RotationBounds(-half, half)
 
 
-def effective_gain_vector(pattern, rotations_deg, psi_deg: float) -> np.ndarray:
-    """Per-element amplitude gains seen at angle ``psi_deg``.
+def effective_gain_vector(pattern, rotations_deg, psi_deg) -> np.ndarray:
+    """Per-element amplitude gains, shape ``psi.shape + rotations.shape``.
 
-    Entry n is sqrt of the linear element gain at the relative angle
-    ``psi_deg - rotations_deg[n]``.  ``pattern=None`` selects an isotropic
-    element (unit gain regardless of rotation).
+    Entry ``[..., n]`` is sqrt of the linear element gain at the relative
+    angle ``psi - rotations_deg[..., n]``.  ``pattern=None`` selects an
+    isotropic element (unit gain regardless of rotation).
     """
     rotations = np.asarray(rotations_deg, dtype=float)
-    if rotations.ndim != 1:
-        raise ValueError("rotations_deg must be a 1-D vector")
-    if pattern is None:
-        return np.ones(rotations.shape[0])
-    return np.sqrt(element_gain_linear(pattern, psi_deg - rotations))
+    psi = np.asarray(psi_deg, dtype=float)
+    if pattern is None:    # a real array: a stride-0 view leaves matmul's BLAS path
+        return np.ones(psi.shape + rotations.shape)
+    return np.sqrt(element_gain_linear(
+        pattern, psi.reshape(psi.shape + (1,) * rotations.ndim) - rotations))
 
 
-def steering_vector(geometry: ArrayGeometry, psi_deg: float) -> np.ndarray:
-    """ULA steering vector at angle ``psi_deg``; element 0 is the phase reference."""
+def steering_vector(geometry: ArrayGeometry, psi_deg) -> np.ndarray:
+    """ULA steering vectors, shape ``psi.shape + (N,)``; element 0 is the
+    phase reference."""
     n = np.arange(geometry.num_antennas)
-    phase = 2.0 * np.pi * geometry.spacing_wavelengths * n * np.cos(np.radians(psi_deg))
-    return np.exp(1j * phase)
+    cos = np.cos(np.radians(np.asarray(psi_deg, dtype=float)))[..., None]
+    phase = 1j * 2.0 * np.pi * geometry.spacing_wavelengths * n * cos
+    return np.exp(phase, out=phase)
 
 
 def composite_response(pattern, geometry: ArrayGeometry,
-                       rotations_deg, psi_deg: float) -> np.ndarray:
-    """Effective array response: elementwise gain times steering phase."""
+                       rotations_deg, psi_deg) -> np.ndarray:
+    """Effective array responses, shape ``psi.shape + rotations.shape``.
+
+    Elementwise gain times steering phase, for one direction or an array of
+    them and for one rotation vector or a stack ``[..., N]`` of them.
+    Directions lead, so each direction's block is one contiguous matrix for
+    the matmul in :func:`array_gain`.
+    """
     rotations = np.asarray(rotations_deg, dtype=float)
-    if rotations.shape[0] != geometry.num_antennas:
+    if rotations.shape[-1:] != (geometry.num_antennas,):
         raise ValueError("rotations length does not match num_antennas")
-    return effective_gain_vector(pattern, rotations, psi_deg) * steering_vector(geometry, psi_deg)
+    psi = np.asarray(psi_deg, dtype=float)
+    # amplitudes before the larger complex block keep peak memory down
+    return effective_gain_vector(pattern, rotations, psi) * steering_vector(
+        geometry, psi.reshape(psi.shape + (1,) * (rotations.ndim - 1)))
 
 
 def array_gain(weights, pattern, geometry: ArrayGeometry,
-               rotations_deg, psi_deg: float) -> float:
-    """Array power gain |w^H v|^2 toward ``psi_deg`` for the given state."""
+               rotations_deg, psi_deg):
+    """Array power gain |w^H v|^2, shape ``psi.shape + rotations.shape[:-1]``;
+    a float for one direction and one rotation vector."""
     w = np.asarray(weights, dtype=complex)
     if w.shape[0] != geometry.num_antennas:
         raise ValueError("weights length does not match num_antennas")
     v = composite_response(pattern, geometry, rotations_deg, psi_deg)
-    return float(abs(np.vdot(w, v)) ** 2)
+    gain = np.abs(v @ np.conj(w)) ** 2
+    return float(gain) if gain.ndim == 0 else gain
 
 
 def full_array_gain(pattern: RadiationPattern, geometry: ArrayGeometry) -> float:

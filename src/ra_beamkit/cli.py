@@ -11,10 +11,12 @@ Exit codes: 0 success, 1 scenario schema error, 2 solver failure, 3 I/O error.
 """
 
 import argparse
+import json
 import sys
 
 from . import experiments
-from .scenario import ScenarioError, load_scenario, override_spec
+from .scenario import (ScenarioError, _replace_field, load_scenario,
+                       override_spec)
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -64,8 +66,8 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     spec = load_scenario(args.scenario)
-    try:
-        values = [float(v) for v in args.values.split(",") if v != ""]
+    try:   # each value is read as it would be in a scenario file
+        values = [json.loads(v) for v in args.values.split(",") if v != ""]
     except ValueError as exc:
         raise ScenarioError(f"--values must be numeric: {exc}") from exc
     if not values:
@@ -77,21 +79,13 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_pattern(args) -> int:
     spec = load_scenario(args.scenario)
+    if args.step is not None:
+        spec = _replace_field(spec, "pattern_sample_step_deg", args.step,
+                              "--step")
     scheme, state = experiments.load_report_state(args.state)
-    step = args.step if args.step is not None else spec.pattern_sample_step_deg
-    if not step > 0:
-        raise ScenarioError("--step must be > 0")
-    pattern = None if scheme == "IA" else spec.pattern
-    if args.out is not None:
-        experiments.write_pattern_csv(args.out, state, pattern, spec.geometry,
-                                      step)
-        return EXIT_OK
-    psi, gains = experiments.sample_gain_pattern(state, pattern, spec.geometry,
-                                                 step)
-    dbs = experiments.gain_to_db(gains)
-    sys.stdout.write("psi_deg,gain_linear,gain_db\n")
-    for p, g, d in zip(psi, gains, dbs):
-        sys.stdout.write(f"{p:.17g},{g:.17g},{d:.17g}\n")
+    experiments.write_pattern_csv(sys.stdout if args.out is None else args.out,
+                                  state, None if scheme == "IA" else spec.pattern,
+                                  spec.geometry, spec.pattern_sample_step_deg)
     return EXIT_OK
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .array_model import element_gain_linear, rotation_bounds, steering_vector
+from .array_model import array_gain, rotation_bounds
 
 
 @dataclass
@@ -55,28 +55,16 @@ class Swarm:
     global_best_fitness: float
 
 
-def _batch_gains(positions, weights, pattern, geometry, psi_deg):
-    """Array gain toward ``psi_deg`` for every rotation row in ``positions``."""
-    if pattern is None:
-        amp = np.ones_like(positions)
-    else:
-        amp = np.sqrt(element_gain_linear(pattern, psi_deg - positions))
-    response = amp * steering_vector(geometry, psi_deg)[None, :]
-    return np.abs(response @ np.conj(weights)) ** 2
-
-
 def _batch_fitness(positions, weights, scenario, pattern, geometry, penalty_factor):
     """Penalized min-desired-gain fitness for a stack of rotation vectors."""
-    gmin = np.min([_batch_gains(positions, weights, pattern, geometry, ang)
-                   for ang in scenario.desired_angles_deg], axis=0)
-    if not scenario.interference_angles_deg:
-        return gmin
-    eta = scenario.eta_max_linear
-    penalty = np.zeros(positions.shape[0])
-    for ang in scenario.interference_angles_deg:
-        g = _batch_gains(positions, weights, pattern, geometry, ang)
-        penalty += np.where(g > eta, g, 0.0)
-    return gmin - penalty_factor * penalty
+    k = len(scenario.desired_angles_deg)
+    gains = array_gain(weights, pattern, geometry, positions,
+                       scenario.desired_angles_deg
+                       + scenario.interference_angles_deg)     # (K + L, S)
+    interf = gains[k:]
+    penalty = np.sum(np.where(interf > scenario.eta_max_linear, interf, 0.0),
+                     axis=0)
+    return np.min(gains[:k], axis=0) - penalty_factor * penalty
 
 
 def fitness(rotations_deg, weights, scenario, pattern, geometry,

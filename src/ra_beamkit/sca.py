@@ -67,10 +67,10 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
                          "point stalls the surrogate)")
     rotations = np.asarray(state.rotations_deg, dtype=float)
 
-    V_desired = np.array([composite_response(pattern, geometry, rotations, ang)
-                          for ang in scenario.desired_angles_deg])     # (K, N)
-    V_interf = np.array([composite_response(pattern, geometry, rotations, ang)
-                         for ang in scenario.interference_angles_deg])  # (L, N)
+    V_desired = composite_response(pattern, geometry, rotations,
+                                   scenario.desired_angles_deg)      # (K, N)
+    V_interf = composite_response(pattern, geometry, rotations,
+                                  scenario.interference_angles_deg)  # (L, N)
     eta = scenario.eta_max_linear
 
     # convergence is judged on consecutive subproblem optima; a first optimum
@@ -99,13 +99,12 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
 
 def min_desired_gain(weights, pattern, geometry, rotations_deg, scenario) -> float:
     """Worst array gain over the desired directions at the given state."""
-    return min(array_gain(weights, pattern, geometry, rotations_deg, ang)
-               for ang in scenario.desired_angles_deg)
+    return float(np.min(array_gain(weights, pattern, geometry, rotations_deg,
+                                   scenario.desired_angles_deg)))
 
 
 def max_interference_gain(weights, pattern, geometry, rotations_deg, scenario) -> float:
     """Largest array gain over the interference directions; 0 if none."""
-    if not scenario.interference_angles_deg:
-        return 0.0
-    return max(array_gain(weights, pattern, geometry, rotations_deg, ang)
-               for ang in scenario.interference_angles_deg)
+    return float(np.max(array_gain(weights, pattern, geometry, rotations_deg,
+                                   scenario.interference_angles_deg),
+                        initial=0.0))

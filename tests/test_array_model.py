@@ -206,6 +206,43 @@ class TestCompositeAndGain:
         assert array_gain(w_mrc, PAT, geo, rot, psi) == pytest.approx(
             np.sum(np.abs(v) ** 2), rel=1e-12)
 
+    @settings(max_examples=50)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1), st.booleans())
+    def test_batched_response_equals_stacked_calls(self, seed, isotropic):
+        rng = np.random.default_rng(seed)
+        n, m, s = (int(x) for x in rng.integers(1, 20, 3))
+        pat = None if isotropic else PAT
+        geo = ArrayGeometry(n)
+        psi = rng.uniform(0.0, 180.0, m)
+        rots = rng.uniform(-102.0, 102.0, (s, n))
+        by_angle = composite_response(pat, geo, rots[0], psi)
+        assert np.array_equal(by_angle, np.array(
+            [composite_response(pat, geo, rots[0], p) for p in psi]))
+        stack = composite_response(pat, geo, rots, psi)
+        assert stack.shape == (m, s, n)
+        assert np.array_equal(stack, np.array(
+            [[composite_response(pat, geo, r, p) for r in rots] for p in psi]))
+
+    @settings(max_examples=50)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
+    def test_gain_over_angles_matches_per_angle_calls(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 40))
+        geo = ArrayGeometry(n)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rot = rng.uniform(-102.0, 102.0, n)
+        psi = rng.uniform(0.0, 180.0, int(rng.integers(1, 50)))
+        gains = array_gain(w, PAT, geo, rot, psi)
+        single = [array_gain(w, PAT, geo, rot, p) for p in psi]
+        assert gains.shape == psi.shape
+        assert all(isinstance(g, float) for g in single)
+        # a matmul and a dot product sum in different orders; near a null the
+        # gain is a difference of O(1) terms, so the bound is relative to its
+        # Cauchy-Schwarz scale |w|^2 |v|^2
+        scale = np.linalg.norm(w) ** 2 * np.sum(
+            np.abs(composite_response(PAT, geo, rot, psi)) ** 2, axis=-1)
+        assert np.all(np.abs(gains - single) <= 1e-15 * scale)
+
 
 class TestStateAndScenario:
     def test_state_validation(self):

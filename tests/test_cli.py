@@ -1,12 +1,15 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from ra_beamkit.array_model import (ArrayGeometry, RadiationPattern,
-                                    array_gain)
+from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
+                                    RadiationPattern, array_gain)
 from ra_beamkit.cli import main
-from ra_beamkit.experiments import load_report_state
+from ra_beamkit.experiments import (gain_to_db, load_report_state,
+                                    sample_gain_pattern, write_pattern_csv)
+from ra_beamkit.scenario import MAX_ANTENNAS
 
 
 @pytest.fixture(autouse=True)
@@ -225,3 +228,60 @@ def test_sweep_bad_values_exit_1(tmp_path):
     scenario = write_scenario(tmp_path)
     assert main(["sweep", scenario, "--field", "num_antennas", "--values",
                  "abc", "--out", str(tmp_path / "o")]) == 1
+
+
+def test_pattern_stdout_matches_out_file(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out)]) == 0
+    for scheme in ("ra", "ia"):
+        state = str(out / f"report_{scheme}.json")
+        regen = tmp_path / f"regen_{scheme}.csv"
+        # 1801 rows: more than one formatting block
+        assert main(["pattern", scenario, "--state", state, "--step", "0.1",
+                     "--out", str(regen)]) == 0
+        capsys.readouterr()
+        assert main(["pattern", scenario, "--state", state,
+                     "--step", "0.1"]) == 0
+        assert capsys.readouterr().out.encode() == regen.read_bytes()
+
+
+def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
+    # the reference is the row loop the block writer replaced
+    geo = ArrayGeometry(5)
+    rng = np.random.default_rng(4)
+    state = BeamformerState(rng.normal(size=5) + 1j * rng.normal(size=5),
+                            rng.uniform(-90.0, 90.0, 5))
+    path = tmp_path / "pattern.csv"
+    write_pattern_csv(path, state, RadiationPattern(), geo, 0.05)
+    psi, gains = sample_gain_pattern(state, RadiationPattern(), geo, 0.05)
+    expected = "psi_deg,gain_linear,gain_db\n" + "".join(
+        f"{p:.17g},{g:.17g},{d:.17g}\n"
+        for p, g, d in zip(psi, gains, gain_to_db(gains)))
+    assert path.read_text() == expected
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["pattern", "--step", "inf"], "--step"),
+    (["pattern", "--step", "1e-12"], "--step"),       # past MAX_PATTERN_SIZE
+    (["sweep", "--field", "eta_max_db", "--values", "nan"], "--values"),
+    (["sweep", "--field", "eta_max_db", "--values", "inf"], "--values"),
+    (["sweep", "--field", "num_antennas", "--values", "4.7"], "--values"),
+    (["sweep", "--field", "num_antennas", "--values", "0"], "--values"),
+    (["sweep", "--field", "num_antennas", "--values", str(MAX_ANTENNAS + 1)],
+     "--values"),
+    (["sweep", "--field", "spacing_wavelengths", "--values", "-1"], "--values"),
+])
+def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
+    # before: --step inf and --values inf exited 0, 4.7 solved N = 4, and
+    # nan, 0 and -1 exited 2 from the solver
+    scenario = write_scenario(tmp_path)
+    state = tmp_path / "report.json"
+    state.write_text(json.dumps({"scheme": "FOA", "final_state": {
+        "weights_real": [0.4] * 6, "weights_imag": [0.0] * 6,
+        "rotations_deg": [0.0] * 6}}))
+    extra = ["--state", str(state)] if argv[0] == "pattern" else []
+    out = tmp_path / "o"
+    assert main([argv[0], scenario, *extra, *argv[1:], "--out", str(out)]) == 1
+    assert flag in capsys.readouterr().err
+    assert not out.exists()

@@ -1,9 +1,12 @@
 import json
+from dataclasses import asdict
+from pathlib import Path
 
 import pytest
 
-from ra_beamkit.scenario import (ScenarioError, load_scenario,
-                                 override_spec, parse_scenario)
+from ra_beamkit.scenario import (MAX_ANTENNAS, MAX_PATTERN_SIZE, ScenarioError,
+                                 ScenarioSpec, load_scenario, override_spec,
+                                 parse_scenario)
 
 
 def write(tmp_path, doc):
@@ -153,3 +156,49 @@ def test_non_finite_literals_in_file_rejected(tmp_path):
                     '"pattern_sample_step_deg": Infinity}')
     with pytest.raises(ScenarioError, match="pattern_sample_step_deg"):
         load_scenario(path)
+
+
+def test_antenna_ceiling():
+    # mc_sweep's largest array and the ceiling itself are accepted
+    assert parse_scenario({**MINIMAL, "num_antennas": 64}).num_antennas == 64
+    assert parse_scenario({**MINIMAL, "num_antennas": MAX_ANTENNAS}) \
+        .num_antennas == MAX_ANTENNAS
+    with pytest.raises(ScenarioError, match="'num_antennas'.*<="):
+        parse_scenario({**MINIMAL, "num_antennas": MAX_ANTENNAS + 1})
+
+
+def test_pattern_size_ceiling():
+    # 16 antennas times 2**20 rows is exactly MAX_PATTERN_SIZE
+    rows = MAX_PATTERN_SIZE // 16
+    parse_scenario({**MINIMAL, "num_antennas": 16,
+                    "pattern_sample_step_deg": 180.0 / (rows - 1)})
+    with pytest.raises(ScenarioError, match="pattern_sample_step_deg"):
+        parse_scenario({**MINIMAL, "num_antennas": 16,
+                        "pattern_sample_step_deg": 180.0 / rows})
+    # the benchmark's dense pattern, 180 001 rows x 15
+    parse_scenario({**MINIMAL, "pattern_sample_step_deg": 0.001})
+    # rejected when parsed, before anything is allocated
+    with pytest.raises(ScenarioError, match="pattern_sample_step_deg"):
+        parse_scenario({**MINIMAL, "pattern_sample_step_deg": 1e-12})
+    with pytest.raises(ScenarioError, match="pattern_sample_step_deg"):
+        parse_scenario({**MINIMAL, "pattern_sample_step_deg": 5e-324})
+
+
+def test_readme_scenario_block_shows_the_defaults():
+    # the README's listing is the one place defaults are written outside the
+    # dataclasses; apart from its example angles and seeds it must match them
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Scenario files", 1)[1]
+    doc = json.loads(block.split("```json", 1)[1].split("```", 1)[0])
+    spec = parse_scenario(doc)
+    defaults = ScenarioSpec(desired_angles_deg=spec.desired_angles_deg,
+                            interference_angles_deg=spec.interference_angles_deg,
+                            seeds=spec.seeds)
+    assert spec == defaults
+
+    def keys(d):
+        return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
+
+    schema = asdict(defaults)
+    del schema["solver"]["pso"]["rng_seed"]     # derived per run, not read
+    assert keys(doc) == keys(schema)
