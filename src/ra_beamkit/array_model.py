@@ -135,16 +135,23 @@ def element_gain_dbi(pattern: RadiationPattern, steer_deg):
     Defined for any real angle; no wrapping is applied.  Accepts scalars or
     arrays and returns the same shape.
     """
-    rel = np.asarray(steer_deg, dtype=float) - 90.0
-    attenuation = np.minimum(12.0 * (rel / pattern.beamwidth_3db_deg) ** 2,
-                             min(pattern.sidelobe_limit_db, pattern.front_to_back_db))
-    gain = pattern.max_gain_dbi - attenuation
-    return gain if np.ndim(steer_deg) else float(gain)
+    gain = np.array(steer_deg, dtype=float)     # the only block allocated
+    gain -= 90.0
+    gain /= pattern.beamwidth_3db_deg
+    np.square(gain, out=gain)
+    gain *= 12.0
+    np.minimum(gain, min(pattern.sidelobe_limit_db, pattern.front_to_back_db),
+               out=gain)
+    np.subtract(pattern.max_gain_dbi, gain, out=gain)
+    return gain if gain.ndim else float(gain)
 
 
 def element_gain_linear(pattern: RadiationPattern, steer_deg):
     """Element gain as a linear power ratio (strictly positive)."""
-    return 10.0 ** (element_gain_dbi(pattern, steer_deg) / 10.0)
+    gain = np.asarray(element_gain_dbi(pattern, steer_deg))
+    gain /= 10.0
+    np.power(10.0, gain, out=gain)
+    return gain if gain.ndim else float(gain)
 
 
 def rotation_bounds(pattern: RadiationPattern) -> RotationBounds:
@@ -169,8 +176,9 @@ def effective_gain_vector(pattern, rotations_deg, psi_deg) -> np.ndarray:
     psi = np.asarray(psi_deg, dtype=float)
     if pattern is None:    # a real array: a stride-0 view leaves matmul's BLAS path
         return np.ones(psi.shape + rotations.shape)
-    return np.sqrt(element_gain_linear(
+    gain = np.asarray(element_gain_linear(
         pattern, psi.reshape(psi.shape + (1,) * rotations.ndim) - rotations))
+    return np.sqrt(gain, out=gain)
 
 
 def steering_vector(geometry: ArrayGeometry, psi_deg) -> np.ndarray:

@@ -65,6 +65,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    if args.base_seed < 0:
+        raise ScenarioError("--base-seed must be >= 0")
     spec = load_scenario(args.scenario)
     try:   # each value is read as it would be in a scenario file
         values = [json.loads(v) for v in args.values.split(",") if v != ""]

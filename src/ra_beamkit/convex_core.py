@@ -21,19 +21,24 @@ on w = Q y over the 2r+1 reals z = [Re y; Im y; t].  Q contains the span even
 when the vectors are dependent, so no rank threshold is needed.  Past that one
 QR the cost of a solve does not depend on N.
 
-Every constraint has one slack form, s_i = a_i + g_i^T z - z^T P_i z: P_i = 0
-for the affine rows, the real form of v_l v_l^H (in the basis) for each cap
-and the identity on the y block for the ball.  The barrier gradient is
--sum (g_i - 2 P_i z)/s_i - mu e_t and its Hessian J^T J + sum 2 P_i/s_i, with
-J the rows (g_i - 2 P_i z)/s_i.
+Every constraint has one lifted slack form s_i = zh^T S_i zh over zh = [z; 1],
+built once per solve.  Affine rows keep half their gradient in the last row and
+column of S_i; caps and the ball keep minus their curvature P_i (the real form
+of v_l v_l^H in the basis, the identity on the y block).  One product S zh gives
+every slack (one dot with zh) and every row of J = 2 (S_i zh)[:-1]/s_i, and the
+Hessian J^T J + sum 2 P_i/s_i is one weighted sum.
+
+Each solve starts at y = 0, the centre of the ball and strictly inside every
+cap.  The centre at each mu is unique, so the start moves only the path; a
+previous SCA optimum lies next to the active caps and costs more steps.
 
 At a centring parameter mu the barrier bound gives optimum - t <= m/mu, with m
 the constraint count.  The mu schedule grows by a fixed factor and ends exactly
 at mu_final = m/gap_target, so the certified gap is the requested one, not an
 overshoot of it.  mu_final carries a 1% margin: at an inexact centre the dual
 point recovered from the returned (w, t) certifies slightly more than m/mu
-(measured up to 4e-5 relative).  Only the final stage certifies the gap, so
-only it is centred tightly; earlier stages stop at a loose Newton decrement.
+(under 4e-6 relative once its multipliers make w stationary).  Only the final
+stage is centred tightly; earlier stages stop at a loose Newton decrement.
 
 Along a Newton step every slack is s_i (1 + alpha d1_i - alpha^2 d2_i).  Each
 step first goes to a fraction of the distance to the boundary of the feasible
@@ -41,7 +46,10 @@ set (Nocedal & Wright 2006, section 19.2), the smallest positive root of those
 polynomials.  The backtracking search then tests the change of the barrier
 directly as a sum of log1p terms, never as the difference of two barrier
 values.  Those values are of size mu*|t| ~ 1e9 at the last stage, so their
-difference carries rounding larger than the decrease being tested.
+difference carries rounding larger than the decrease being tested.  The
+barrier is self-concordant, so backtracking accepts the full step once the
+Newton decrement is at most (1 - 2*armijo)/4 (Boyd & Vandenberghe 2004,
+section 9.6.4); such steps skip the boundary root and the search.
 
 A gap target below about 1e-8 asks for more than float64 can centre: such
 solves may end with status "max_iterations".
@@ -59,6 +67,7 @@ _GAP_MARGIN = 1.01           # mu_final = margin * m / gap_target
 _TO_BOUNDARY = 0.99          # first trial step: this fraction of the way
 _ARMIJO = 0.01
 _MAX_HALVINGS = 60
+_FULL_STEP = ((1.0 - 2.0 * _ARMIJO) / 4.0) ** 2    # squared decrement
 
 
 @dataclass
@@ -105,11 +114,7 @@ class ConvexSolution:
     status: str               # "optimal" | "max_iterations"
 
 
-def _stack(u: np.ndarray) -> np.ndarray:
-    return np.concatenate([u.real, u.imag], axis=-1)
-
-
-def solve_epigraph(problem: EpigraphProblem, warm_start=None,
+def solve_epigraph(problem: EpigraphProblem,
                    tolerance: float = 1e-6) -> ConvexSolution:
     """Solve the epigraph subproblem to the requested absolute accuracy.
 
@@ -119,101 +124,82 @@ def solve_epigraph(problem: EpigraphProblem, warm_start=None,
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
-    C, V = problem.linear_terms, problem.quad_vectors
+    C, V, b = problem.linear_terms, problem.quad_vectors, problem.offsets
     Q = np.linalg.qr(np.concatenate([C, V]).T)[0]        # (N, r)
-    C_r, V_r = C @ Q.conj(), V @ Q.conj()                # rows Q^H c_k, Q^H v_l
+    S = _slack_form(C @ Q.conj(), V @ Q.conj(), problem)
 
-    y = _feasible_start(problem, warm_start, Q, V_r)
-    margins = 2.0 * (C_r.conj() @ y).real - problem.offsets
-    t = float(margins.min()) - max(1.0, 0.05 * (np.abs(margins).max() + 1.0))
-    z = np.append(_stack(y), t)
-    a, G, P = _slack_form(C_r, problem.offsets, V_r, problem.quad_cap,
-                          problem.ball_radius ** 2)
+    r = Q.shape[1]
+    zh = np.zeros(2 * r + 2)                             # y = 0, then t, 1
+    zh[-2:] = -b.max() - max(1.0, 0.05 * (np.abs(b).max() + 1.0)), 1.0
 
-    mu_final = _GAP_MARGIN * len(a) / min(tolerance, 1e-6)
-    mu = 1.0
-    status = "optimal"
-    while True:
-        if not _center(z, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL,
-                       a, G, P):
-            status = "max_iterations"
-            break
+    mu_final = _GAP_MARGIN * len(S) / min(tolerance, 1e-6)
+    mu, status = 1.0, "max_iterations"
+    while _center(zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL, S):
         if mu == mu_final:
+            status = "optimal"
             break
         mu = min(mu * _MU_FACTOR, mu_final)
 
-    r = Q.shape[1]
-    w = Q @ (z[:r] + 1j * z[r:-1])
-    t = float(z[-1])
+    w = Q @ (zh[:r] + 1j * zh[r:-2])
+    t = float(zh[-2])
     return ConvexSolution(weights=w, objective=t,
                           feasibility_residual=_residual(problem, w, t),
                           status=status)
 
 
-def _feasible_start(problem, warm_start, Q, V_r):
-    """Strictly interior y, from the warm start projected on the basis and
-    shrunk if needed."""
-    if warm_start is None:
-        return np.zeros(Q.shape[1], dtype=complex)
-    w = np.asarray(warm_start, dtype=complex)
-    if w.shape != (problem.dim,):
-        raise ValueError("warm_start length does not match the problem")
-    y = Q.conj().T @ w
-    nrm = np.linalg.norm(y)
-    if nrm > 0:
-        y *= min(1.0, 0.999 * problem.ball_radius / nrm)
-    if len(V_r):
-        worst = (np.abs(V_r.conj() @ y) ** 2).max()
-        if worst >= 0.999 * problem.quad_cap:
-            y *= np.sqrt(0.999 * problem.quad_cap / worst)
-    return y
-
-
-def _slack_form(C_r, b, V_r, eta, r2):
-    """(a, G, P) with slack_i = a_i + G_i z - z^T P_i z, over
-    z = [Re y; Im y; t]: K affine rows, then L caps, then the ball."""
+def _slack_form(C_r, V_r, problem):
+    """S with slack_i = zh^T S_i zh over zh = [Re y; Im y; t; 1]: K affine
+    rows, then L caps, then the ball, for the rows C_r, V_r in the basis."""
     K, r = C_r.shape
-    L = len(V_r)
-    a = np.concatenate([-b, np.full(L, eta), [r2]])
-    G = np.zeros((K + L + 1, 2 * r + 1))
-    G[:K, :-1] = 2.0 * _stack(C_r)             # 2 Re{c^H y} = G_k [Re y; Im y]
-    G[:K, -1] = -1.0
-    # |v^H y|^2 = ||R x||^2 with rows R = [Re v, Im v] and [-Im v, Re v]
-    R = np.stack([_stack(V_r), _stack(1j * V_r)], axis=1)
-    P = np.zeros((K + L + 1, 2 * r + 1, 2 * r + 1))
-    P[K:K + L, :-1, :-1] = np.einsum("lki,lkj->lij", R, R)
-    P[-1, :-1, :-1] = np.eye(2 * r)
-    return a, G, P
+    L, d = len(V_r), 2 * r + 1
+    S = np.zeros((K + L + 1, d + 1, d + 1))
+    # 2 Re{c^H y} - t - b, with Re{c^H y} = [Re c, Im c] . [Re y; Im y]
+    S[:K, :d, d] = S[:K, d, :d] = np.concatenate(
+        [C_r.real, C_r.imag, np.full((K, 1), -0.5)], axis=1)
+    # eta - |v^H y|^2 = eta - ||R x||^2, rows R = [Re v, Im v], [Re iv, Im iv]
+    R = np.concatenate([V_r, 1j * V_r], axis=1).reshape(L, 2, r)
+    R = np.concatenate([R.real, R.imag], axis=2)
+    S[K:K + L, :-2, :-2] = -(R.transpose(0, 2, 1) @ R)
+    S[-1, :-2, :-2] = -np.eye(d - 1)                   # r2 - ||y||^2
+    S[:, d, d] = np.concatenate([-problem.offsets, np.full(L, problem.quad_cap),
+                                 [problem.ball_radius ** 2]])
+    return S
 
 
-def _center(z, mu, tol, a, G, P) -> bool:
+def _center(zh, mu, tol, S) -> bool:
     """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu`` until
-    the squared Newton decrement is at most 2*tol, updating ``z`` in place.
+    the squared Newton decrement is at most 2*tol, updating ``zh`` in place.
 
     Returns False when the stage runs out of steps or no step decreases the
     barrier, which only happens at the float64 floor.
     """
-    d = len(z)
-    P_flat = P.reshape(len(P), d * d)
+    # ndarray.dot, not @: at these sizes @ costs about 1 us more per product
+    m, d, z = len(S), len(zh) - 1, zh[:-1]
+    S_rows = S.reshape(m * (d + 1), d + 1)
+    P = -S[:, :-1, :-1]                 # slack curvatures, contiguous
+    P_flat, P_rows = P.reshape(m, d * d), P.reshape(m * d, d)
     for _ in range(_MAX_NEWTON_PER_STAGE):
-        Pz = P @ z
-        s = a + G @ z - Pz @ z
-        J = (G - 2.0 * Pz) / s[:, None]
-        grad = -J.sum(axis=0)
-        grad[-1] -= mu
-        H = J.T @ J + ((2.0 / s) @ P_flat).reshape(d, d)
+        Sz = S_rows.dot(zh).reshape(m, d + 1)
+        s = Sz.dot(zh)
+        w2 = 2.0 / s
+        J = Sz[:, :-1] * w2[:, None]    # rows: gradients of log(slack)
+        g = w2.dot(Sz[:, :-1])          # minus the barrier gradient
+        g[-1] += mu
+        H = J.T.dot(J) + w2.dot(P_flat).reshape(d, d)
         try:
-            step = np.linalg.solve(H, -grad)
+            step = np.linalg.solve(H, g)
         except np.linalg.LinAlgError:
             H[np.arange(d), np.arange(d)] += 1e-12 * max(1.0, np.trace(H) / d)
-            step = np.linalg.solve(H, -grad)
-
-        decrement = -grad @ step
+            step = np.linalg.solve(H, g)
+        decrement = g.dot(step)
         if decrement / 2.0 <= tol:
             return True
-        # a negative d2 is rounding in the quadratic form of a PSD P_i
-        d2 = np.maximum((P @ step) @ step / s, 0.0)
-        alpha = _line_search(J @ step, d2, step[-1], mu, -decrement)
+        if decrement <= _FULL_STEP:
+            z += step
+            continue
+        # a negative d2 is rounding in the quadratic form of a PSD cap or ball
+        d2 = np.maximum(P_rows.dot(step).reshape(m, d).dot(step) / s, 0.0)
+        alpha = _line_search(J.dot(step), d2, step[-1], mu, -decrement)
         if alpha == 0.0:
             return False
         z += alpha * step

@@ -84,8 +84,7 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
         inner = V_desired.conj() @ w            # v_k^H w
         problem = EpigraphProblem(V_desired * inner[:, None], np.abs(inner) ** 2,
                                   V_interf, quad_cap=eta, ball_radius=1.0)
-        sol = solve_epigraph(problem, warm_start=w,
-                             tolerance=config.subproblem_tolerance)
+        sol = solve_epigraph(problem, tolerance=config.subproblem_tolerance)
         nonoptimal += sol.status != "optimal"
         w = sol.weights
         history.append(sol.objective)

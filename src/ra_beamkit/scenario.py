@@ -20,8 +20,9 @@ the README lists; an absent key takes its default, and unknown keys anywhere
 are rejected.  A key typed ``int`` takes an integer >= 1 and any other
 scalar a finite number: the ``NaN`` and ``Infinity`` literals that Python's
 json module reads are rejected.  Angles lie in [0, 180], and the desired and
-interference sets are disjoint.  ``seeds`` is a list of ints or a count M,
-meaning 0..M-1.  The swarm's ``rng_seed`` is derived per run, not read.
+interference sets are disjoint, and no scheme is listed twice.  ``seeds`` is
+a list of ints >= 0 or a count M, meaning 0..M-1.  The swarm's ``rng_seed``
+is derived per run, not read.
 
 Two resource ceilings keep a scenario from asking for more memory than a
 workstation has: ``num_antennas`` <= ``MAX_ANTENNAS``, and the sampled
@@ -120,7 +121,10 @@ def _schemes(value, key, context):
         if not isinstance(s, str) or s.upper() not in VALID_SCHEMES:
             raise ScenarioError(f"key '{key}' in {context} contains invalid "
                                 f"scheme '{s}'")
-    return tuple(s.upper() for s in value)
+    schemes = tuple(s.upper() for s in value)
+    if len(set(schemes)) < len(schemes):
+        raise ScenarioError(f"key '{key}' in {context} repeats a scheme")
+    return schemes
 
 
 def _seeds(value, key, context):
@@ -129,10 +133,10 @@ def _seeds(value, key, context):
             raise ScenarioError(f"key '{key}' in {context}: a count must be >= 1")
         return tuple(range(value))
     if isinstance(value, list) and value and \
-            all(isinstance(s, int) and not isinstance(s, bool) for s in value):
+            all(type(s) is int and s >= 0 for s in value):
         return tuple(value)
     raise ScenarioError(f"key '{key}' in {context} must be an integer count "
-                        f"or a list of integers")
+                        f"or a list of non-negative integers")
 
 
 # keys checked by more than their type

@@ -271,10 +271,14 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     (["sweep", "--field", "num_antennas", "--values", str(MAX_ANTENNAS + 1)],
      "--values"),
     (["sweep", "--field", "spacing_wavelengths", "--values", "-1"], "--values"),
+    (["sweep", "--field", "eta_max_db", "--values", "-5", "--base-seed", "-1"],
+     "--base-seed"),
+    (["run", "--schemes", "foa,FOA"], "--schemes"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
-    # before: --step inf and --values inf exited 0, 4.7 solved N = 4, and
-    # nan, 0 and -1 exited 2 from the solver
+    # before: --step inf and --values inf exited 0, 4.7 solved N = 4,
+    # nan, 0 and -1 exited 2 from the solver, --base-seed -1 exited 2 and
+    # --schemes foa,FOA solved and wrote every seed twice
     scenario = write_scenario(tmp_path)
     state = tmp_path / "report.json"
     state.write_text(json.dumps({"scheme": "FOA", "final_state": {

@@ -2,8 +2,12 @@ import json
 from dataclasses import asdict
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from ra_beamkit.array_model import rotation_bounds
+from ra_beamkit.experiments import run_single
 from ra_beamkit.scenario import (MAX_ANTENNAS, MAX_PATTERN_SIZE, ScenarioError,
                                  ScenarioSpec, load_scenario, override_spec,
                                  parse_scenario)
@@ -68,6 +72,9 @@ def test_seed_count_expansion():
         parse_scenario({**MINIMAL, "seeds": [1.5]})
     with pytest.raises(ScenarioError, match="seeds"):
         parse_scenario({**MINIMAL, "seeds": 0})
+    # a negative seed is a schema error, not a SeedSequence failure
+    with pytest.raises(ScenarioError, match="'seeds'.*non-negative"):
+        parse_scenario({**MINIMAL, "seeds": [3, -1]})
 
 
 def test_partial_pattern_override():
@@ -98,6 +105,9 @@ def test_scheme_normalization():
     assert spec.schemes == ("RA", "IA")
     with pytest.raises(ScenarioError, match="schemes"):
         parse_scenario({**MINIMAL, "schemes": ["XYZ"]})
+    # a repeat would solve and write every seed twice
+    with pytest.raises(ScenarioError, match="'schemes'.*repeats"):
+        parse_scenario({**MINIMAL, "schemes": ["FOA", "foa"]})
 
 
 def test_non_numeric_values_rejected():
@@ -202,3 +212,41 @@ def test_readme_scenario_block_shows_the_defaults():
     schema = asdict(defaults)
     del schema["solver"]["pso"]["rng_seed"]     # derived per run, not read
     assert keys(doc) == keys(schema)
+
+
+SMALL_SOLVER = {"max_outer_iterations": 3, "sca": {"max_iterations": 8},
+                "pso": {"num_particles": 10, "max_iterations": 5}}
+ANGLE = st.floats(0.0, 180.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(1, 8), spacing=st.floats(0.1, 2.0),
+       desired=st.lists(ANGLE, min_size=1, max_size=3, unique=True),
+       interference=st.lists(ANGLE, max_size=2, unique=True),
+       near=st.booleans(), eta_db=st.floats(-30.0, 0.0),
+       seed=st.integers(0, 3))
+@example(n=1, spacing=0.5, desired=[60.0], interference=[20.0], near=False,
+         eta_db=-10.0, seed=1)
+@example(n=6, spacing=2.0, desired=[55.0, 60.0], interference=[20.0],
+         near=False, eta_db=-10.0, seed=1)
+@example(n=4, spacing=0.5, desired=[180.0], interference=[], near=True,
+         eta_db=-10.0, seed=0)
+def test_runs_on_random_scenarios_stay_feasible(n, spacing, desired,
+                                                interference, near, eta_db,
+                                                seed):
+    # near: an interferer 0.001 deg from the first desired direction
+    if near:
+        interference = interference + [desired[0] + (
+            0.001 if desired[0] <= 179.0 else -0.001)]
+    interference = [a for a in interference if a not in desired]
+    spec = parse_scenario({"num_antennas": n, "spacing_wavelengths": spacing,
+                           "desired_angles_deg": desired,
+                           "interference_angles_deg": interference,
+                           "eta_max_db": eta_db, "solver": SMALL_SOLVER})
+    bounds = rotation_bounds(spec.pattern)
+    for scheme in ("RA", "FOA", "IA"):
+        report = run_single(spec, scheme, seed)
+        report.final_state.validate(bounds)      # the ball and the range
+        history = np.asarray(report.objective_history)
+        tol = spec.solver.sca.subproblem_tolerance
+        assert np.all(np.diff(history) >= -tol), (scheme, history)
