@@ -84,7 +84,8 @@ def _cmd_pattern(args) -> int:
     if args.step is not None:
         spec = _replace_field(spec, "pattern_sample_step_deg", args.step,
                               "--step")
-    scheme, state = experiments.load_report_state(args.state)
+    scheme, state = experiments.load_report_state(args.state,
+                                                  spec.num_antennas)
     experiments.write_pattern_csv(sys.stdout if args.out is None else args.out,
                                   state, None if scheme == "IA" else spec.pattern,
                                   spec.geometry, spec.pattern_sample_step_deg)

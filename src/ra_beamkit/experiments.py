@@ -24,11 +24,15 @@ from .ao import (RunReport, random_initial_weights, solve_foa, solve_ia,
                  solve_ra)
 from .array_model import (BeamformerState, array_gain, full_array_gain,
                           rotation_bounds)
-from .scenario import ScenarioError, ScenarioSpec, _replace_field
+from .scenario import (VALID_SCHEMES, ScenarioError, ScenarioSpec,
+                       _number_list, _replace_field)
 
 DB_FLOOR = -300.0
 SWEEP_FIELDS = ("num_antennas", "spacing_wavelengths", "eta_max_db")
-_CSV_BLOCK_ROWS = 1024
+# pattern entries sampled, formatted and written at a time; a row holds N
+# response entries and its three output columns
+PATTERN_BLOCK_ENTRIES = 2 ** 16
+_CSV_ROW = "%.17g,%.17g,%.17g\n"
 
 
 def _child_seed(*entropy) -> int:
@@ -77,17 +81,22 @@ def _run_single_task(task):
 
 
 def worker_count() -> int:
+    """``RA_BEAMKIT_THREADS`` if set (an integer; below 1 means 1), else the
+    CPU count up to 4."""
     env = os.environ.get("RA_BEAMKIT_THREADS")
-    if env is not None:
+    if env is None:
+        return min(os.cpu_count() or 1, 4)
+    try:
         return max(1, int(env))
-    return min(os.cpu_count() or 1, 4)
+    except ValueError:
+        raise ScenarioError(
+            f"RA_BEAMKIT_THREADS must be an integer, got {env!r}") from None
 
 
-def _pool_map(fn, tasks):
-    workers = worker_count()
+def _pool_map(fn, tasks, workers):
     if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks, chunksize=1))
 
 
@@ -102,10 +111,26 @@ def best_report(reports) -> RunReport:
 # ---------------------------------------------------------------------------
 # gain pattern sampling
 
+def _pattern_rows(step_deg: float) -> int:
+    return int(round(180.0 / step_deg)) + 1
+
+
 def sample_gain_pattern(state: BeamformerState, pattern, geometry,
-                        step_deg: float):
-    """Gains over psi in [0, 180] at the given step; returns (psi, gain)."""
-    psi = np.linspace(0.0, 180.0, int(round(180.0 / step_deg)) + 1)
+                        step_deg: float, start: int = 0, stop=None):
+    """Gains over psi in [0, 180] at the given step; returns (psi, gain).
+
+    ``start`` and ``stop`` select rows of the grid, which is
+    ``np.linspace(0, 180, round(180 / step_deg) + 1)`` to the bit: a block
+    repeats linspace's arithmetic (row index times the step, the last row
+    exactly 180) instead of slicing the whole grid.
+    """
+    rows = _pattern_rows(step_deg)
+    stop = rows if stop is None else min(stop, rows)
+    psi = np.arange(start, stop, dtype=float)
+    if rows > 1:
+        psi *= 180.0 / (rows - 1)
+        if stop == rows and stop > start:
+            psi[-1] = 180.0
     return psi, array_gain(state.weights, pattern, geometry,
                            state.rotations_deg, psi)
 
@@ -117,22 +142,35 @@ def gain_to_db(gain_linear) -> np.ndarray:
     return np.where(np.isnan(db) | (db < DB_FLOOR), DB_FLOOR, db)
 
 
+def _pattern_csv_block(state, pattern, geometry, step_deg, start, stop) -> str:
+    # a function of its own, so a block's arrays are freed when it returns
+    psi, gains = sample_gain_pattern(state, pattern, geometry, step_deg,
+                                     start, stop)
+    columns = (psi, gains, gain_to_db(gains))
+    return "".join(_CSV_ROW % row
+                   for row in zip(*(c.tolist() for c in columns)))
+
+
 def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
                       step_deg: float):
     """Sample the gain pattern and write it as CSV.
 
     ``path`` is a file path, or an open text stream, which is left open.
-    Rows are formatted a block at a time from ``tolist()`` floats: 1.5-2.4x
-    faster than numpy scalars row by row, with the block's strings bounded.
+    The grid is streamed in blocks of at most ``PATTERN_BLOCK_ENTRIES``
+    entries (rows times N + 3): each block is sampled, converted to dB,
+    formatted row by row from ``tolist()`` floats and written before the
+    next is sampled, so memory stays flat however fine the step.  (One
+    ``%`` over a block's flattened rows was no faster, and it grew the peak
+    RSS of long loops of solves and writes.)
     """
-    psi, gains = sample_gain_pattern(state, pattern, geometry, step_deg)
-    columns = (psi, gains, gain_to_db(gains))
+    rows = _pattern_rows(step_deg)
+    block = max(1, PATTERN_BLOCK_ENTRIES // (geometry.num_antennas + 3))
     with (nullcontext(path) if hasattr(path, "write") else
           open(path, "w", encoding="utf-8", newline="")) as fh:
         fh.write("psi_deg,gain_linear,gain_db\n")
-        for i in range(0, psi.shape[0], _CSV_BLOCK_ROWS):
-            rows = zip(*(c[i:i + _CSV_BLOCK_ROWS].tolist() for c in columns))
-            fh.write("".join("%.17g,%.17g,%.17g\n" % row for row in rows))
+        for start in range(0, rows, block):
+            fh.write(_pattern_csv_block(state, pattern, geometry, step_deg,
+                                        start, start + block))
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +209,44 @@ def write_report_json(path, report: RunReport, spec: ScenarioSpec):
         fh.write("\n")
 
 
-def load_report_state(path):
-    """Read back (scheme, BeamformerState) from a run-report JSON file."""
+def _report_key(doc, key, context):
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
+    if key not in doc:
+        raise ScenarioError(f"missing required key '{key}' in {context}")
+    return doc[key]
+
+
+def load_report_state(path, num_antennas=None):
+    """Read back (scheme, BeamformerState) from a run-report JSON file.
+
+    Only the keys read are required: ``scheme``, one of ``VALID_SCHEMES``,
+    and ``final_state`` with ``weights_real``, ``weights_imag`` and
+    ``rotations_deg``, lists of finite numbers of one length, which is
+    ``num_antennas`` when given.  A malformed report raises ScenarioError
+    naming ``--state``, the CLI flag that carries the path.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    fs = doc["final_state"]
-    weights = np.asarray(fs["weights_real"]) + 1j * np.asarray(fs["weights_imag"])
-    state = BeamformerState(weights, np.asarray(fs["rotations_deg"]))
-    return doc["scheme"], state
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:    # not JSON, or not UTF-8
+            raise ScenarioError(f"invalid JSON in --state: {exc}") from exc
+    scheme = _report_key(doc, "scheme", "--state")
+    if scheme not in VALID_SCHEMES:
+        raise ScenarioError(f"key 'scheme' in --state must be one of "
+                            f"{', '.join(VALID_SCHEMES)}")
+    context = "'final_state' in --state"
+    fs = _report_key(doc, "final_state", "--state")
+    real, imag, rotations = (
+        _number_list(_report_key(fs, key, context), key, context)
+        for key in ("weights_real", "weights_imag", "rotations_deg"))
+    n = len(real) if num_antennas is None else num_antennas
+    if not len(real) == len(imag) == len(rotations) == n:
+        raise ScenarioError(f"{context}: weights_real, weights_imag and "
+                            f"rotations_deg must each hold {n} numbers, "
+                            f"one per antenna")
+    weights = np.asarray(real) + 1j * np.asarray(imag)
+    return scheme, BeamformerState(weights, np.asarray(rotations))
 
 
 # ---------------------------------------------------------------------------
@@ -191,10 +259,11 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
     ``report_<scheme>.json`` and ``pattern_<scheme>.csv`` per scheme plus
     ``summary.csv``.
     """
+    workers = worker_count()
     os.makedirs(output_dir, exist_ok=True)
     tasks = [(spec, scheme, seed, ()) for scheme in spec.schemes
              for seed in spec.seeds]
-    reports = _pool_map(_run_single_task, tasks)
+    reports = _pool_map(_run_single_task, tasks, workers)
 
     best = {}
     for scheme in spec.schemes:
@@ -273,10 +342,11 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
         raise ScenarioError("number of sweep scenarios must be >= 1")
     swept = [_replace_field(spec, field_name, value, "--values")
              for value in values]
+    workers = worker_count()
     os.makedirs(output_dir, exist_ok=True)
     tasks = [(s, vi, j, base_seed) for vi, s in enumerate(swept)
              for j in range(num_scenarios)]
-    cells = _pool_map(_sweep_cell_task, tasks)
+    cells = _pool_map(_sweep_cell_task, tasks, workers)
 
     results = {}
     for vi, value in enumerate(values):

@@ -24,11 +24,12 @@ interference sets are disjoint, and no scheme is listed twice.  ``seeds`` is
 a list of ints >= 0 or a count M, meaning 0..M-1.  The swarm's ``rng_seed``
 is derived per run, not read.
 
-Two resource ceilings keep a scenario from asking for more memory than a
-workstation has: ``num_antennas`` <= ``MAX_ANTENNAS``, and the sampled
-pattern, (round(180 / pattern_sample_step_deg) + 1) rows times
-``num_antennas``, <= ``MAX_PATTERN_SIZE`` entries, because the array
-kernel allocates one complex block of that size.
+Two resource ceilings bound what a scenario may ask for:
+``num_antennas`` <= ``MAX_ANTENNAS``, and the sampled pattern,
+(round(180 / pattern_sample_step_deg) + 1) rows times ``num_antennas``,
+<= ``MAX_PATTERN_SIZE`` entries.  Patterns are sampled and written in blocks
+of bounded size, so the second ceiling bounds a pattern's output size and
+the time to write it, not its memory.
 """
 
 import json
@@ -40,7 +41,7 @@ from .array_model import ArrayGeometry, RadiationPattern, Scenario
 
 VALID_SCHEMES = ("RA", "FOA", "IA")
 MAX_ANTENNAS = 1024
-MAX_PATTERN_SIZE = 2 ** 24     # one 256 MiB complex128 block
+MAX_PATTERN_SIZE = 2 ** 24     # about 1 GB of CSV at N = 1
 
 
 class ScenarioError(ValueError):
@@ -105,7 +106,7 @@ def _integer(value, key, context):
     return value
 
 
-def _angle_list(value, key, context):
+def _number_list(value, key, context):
     if not isinstance(value, list) or \
             any(isinstance(a, bool) or not isinstance(a, (int, float)) for a in value):
         raise ScenarioError(f"key '{key}' in {context} must be a list of numbers")
@@ -140,8 +141,8 @@ def _seeds(value, key, context):
 
 
 # keys checked by more than their type
-_PARSERS = {"desired_angles_deg": _angle_list,
-            "interference_angles_deg": _angle_list,
+_PARSERS = {"desired_angles_deg": _number_list,
+            "interference_angles_deg": _number_list,
             "spacing_wavelengths": _positive,
             "pattern_sample_step_deg": _positive,
             "schemes": _schemes,

@@ -1,11 +1,14 @@
 import csv
+import io
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, array_gain)
+from ra_beamkit import experiments
 from ra_beamkit.cli import main
 from ra_beamkit.experiments import (gain_to_db, load_report_state,
                                     sample_gain_pattern, write_pattern_csv)
@@ -289,3 +292,152 @@ def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     assert main([argv[0], scenario, *extra, *argv[1:], "--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+class _Discard:
+    """A text sink that keeps nothing."""
+
+    def write(self, text):
+        return len(text)
+
+
+def _random_state(n, seed=4):
+    rng = np.random.default_rng(seed)
+    return BeamformerState(rng.normal(size=n) + 1j * rng.normal(size=n),
+                           rng.uniform(-90.0, 90.0, n))
+
+
+@pytest.mark.parametrize("element", ["patterned", "isotropic"])
+@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.02), (64, 0.05)])
+def test_streamed_pattern_matches_one_shot_grid(n, step, element):
+    # the reference samples the whole linspace grid at once and formats it
+    # row by row, as the writer did before it streamed blocks
+    pattern = RadiationPattern() if element == "patterned" else None
+    geo, state = ArrayGeometry(n), _random_state(n)
+    rows = int(round(180.0 / step)) + 1
+    block = experiments.PATTERN_BLOCK_ENTRIES // (n + 3)
+    assert rows > 2 * block and rows % block    # >= 3 blocks, ragged last
+    psi = np.linspace(0.0, 180.0, rows)
+    gains = array_gain(state.weights, pattern, geo, state.rotations_deg, psi)
+    expected = "psi_deg,gain_linear,gain_db\n" + "".join(
+        "%.17g,%.17g,%.17g\n" % row
+        for row in zip(psi.tolist(), gains.tolist(), gain_to_db(gains).tolist()))
+    out = io.StringIO()
+    write_pattern_csv(out, state, pattern, geo, step)
+    assert out.getvalue() == expected
+
+
+@pytest.mark.parametrize("step", [400.0, 180.0, 90.0, 180 / 39, 0.1, 0.0137,
+                                  1 / 3, 0.001])
+def test_pattern_blocks_rebuild_linspace_grid(step):
+    # at 40 rows, 39 * (180 / 39) is not 180: linspace sets the last row
+    rows = int(round(180.0 / step)) + 1
+    state = _random_state(1)
+    bounds = list(range(0, rows, 977)) + [rows]
+    blocks = [sample_gain_pattern(state, None, ArrayGeometry(1), step, a, b)[0]
+              for a, b in zip(bounds, bounds[1:])]
+    whole = sample_gain_pattern(state, None, ArrayGeometry(1), step)[0]
+    reference = np.linspace(0.0, 180.0, rows).tobytes()
+    assert np.concatenate(blocks).tobytes() == reference
+    assert whole.tobytes() == reference
+
+
+def test_pattern_writer_memory_is_bounded():
+    # 180 001 rows x 15 elements: the one-shot writer peaked at about 65 MiB
+    state = _random_state(15)
+    tracemalloc.start()
+    try:
+        write_pattern_csv(_Discard(), state, RadiationPattern(),
+                          ArrayGeometry(15), 0.001)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
+
+
+def _write_report(tmp_path, text):
+    path = tmp_path / "report.json"
+    path.write_text(text)
+    return path
+
+
+_GOOD_STATE = {"weights_real": [0.4] * 6, "weights_imag": [0.0] * 6,
+               "rotations_deg": [0.0] * 6}
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"scheme": "RA", "final_state": {
+        "weights_real": [0.4] * 4, "weights_imag": [0.0] * 4,
+        "rotations_deg": [0.0] * 4}}),                    # N = 4, not 6
+    json.dumps({"scheme": "RA", "final_state": {
+        **_GOOD_STATE, "rotations_deg": [0.0] * 5}}),     # ragged lengths
+    json.dumps({"scheme": "RA"}),                         # no final_state
+    json.dumps({"final_state": _GOOD_STATE}),             # no scheme
+    json.dumps({"scheme": "RA", "final_state": {
+        "weights_real": [0.4] * 6, "weights_imag": [0.0] * 6}}),
+    "{not json",
+    json.dumps([1, 2, 3]),
+    json.dumps({"scheme": "RA", "final_state": [0.4] * 6}),
+    json.dumps({"scheme": "RA", "final_state": {
+        **_GOOD_STATE, "weights_imag": "0"}}),
+    json.dumps({"scheme": "RA", "final_state": {
+        **_GOOD_STATE, "weights_real": [0.4] * 5 + [float("nan")]}}),
+    json.dumps({"scheme": "FOA", "final_state": {
+        **_GOOD_STATE, "rotations_deg": [0.0] * 5 + [1e999]}}),
+    json.dumps({"scheme": "XYZ", "final_state": _GOOD_STATE}),
+    json.dumps({"scheme": "ra", "final_state": _GOOD_STATE}),
+], ids=["wrong-n", "ragged", "no-final-state", "no-scheme", "no-rotations",
+        "not-json", "not-object", "state-not-object", "not-a-list", "nan",
+        "infinity", "unknown-scheme", "lower-case-scheme"])
+def test_malformed_state_exits_1(tmp_path, capsys, text):
+    # before: exit 2 (solver error) for the first seven, exit 0 with nan
+    # gains for the NaN weight, and exit 0 for an unknown scheme
+    scenario = write_scenario(tmp_path)
+    state = _write_report(tmp_path, text)
+    out = tmp_path / "pattern.csv"
+    assert main(["pattern", scenario, "--state", str(state),
+                 "--out", str(out)]) == 1
+    assert "--state" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(["pattern", scenario, "--state", str(state)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--state" in captured.err
+
+
+def test_state_with_non_utf8_bytes_exits_1(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    state = tmp_path / "report.json"
+    state.write_bytes(b"\xff\xfe{}")
+    assert main(["pattern", scenario, "--state", str(state)]) == 1
+    assert "--state" in capsys.readouterr().err
+
+
+def test_minimal_state_is_accepted(tmp_path, capsys):
+    scenario = write_scenario(tmp_path)
+    state = _write_report(tmp_path, json.dumps({"scheme": "IA",
+                                                "final_state": _GOOD_STATE}))
+    assert main(["pattern", scenario, "--state", str(state),
+                 "--step", "45"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 5
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+@pytest.mark.parametrize("value", ["two", "", "1.5"])
+def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, command,
+                                  value):
+    # before: exit 2 (solver error) after the output directory was made
+    monkeypatch.setenv("RA_BEAMKIT_THREADS", value)
+    scenario = write_scenario(tmp_path)
+    extra = (["--field", "eta_max_db", "--values", "-5"]
+             if command == "sweep" else [])
+    out = tmp_path / "o"
+    assert main([command, scenario, *extra, "--out", str(out)]) == 1
+    assert "RA_BEAMKIT_THREADS" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value,expected", [("3", 3), ("1", 1), ("0", 1),
+                                            ("-2", 1)])
+def test_thread_count_is_clamped_to_one(monkeypatch, value, expected):
+    monkeypatch.setenv("RA_BEAMKIT_THREADS", value)
+    assert experiments.worker_count() == expected
