@@ -29,10 +29,12 @@ from .scenario import (VALID_SCHEMES, ScenarioError, ScenarioSpec,
 
 DB_FLOOR = -300.0
 SWEEP_FIELDS = ("num_antennas", "spacing_wavelengths", "eta_max_db")
-# pattern entries sampled, formatted and written at a time; a row holds N
-# response entries and its three output columns
-PATTERN_BLOCK_ENTRIES = 2 ** 16
-_CSV_ROW = "%.17g,%.17g,%.17g\n"
+# traced bytes a pattern block may hold (see pattern_block_rows): sampling
+# holds about two complex responses per antenna and row, formatting about
+# 450 bytes per row
+PATTERN_BLOCK_BYTES = 2 ** 21
+_SAMPLE_ROW_BYTES = 32
+_FORMAT_ROW_BYTES = 448
 
 
 def _child_seed(*entropy) -> int:
@@ -82,9 +84,11 @@ def _run_single_task(task):
 
 def worker_count() -> int:
     """``RA_BEAMKIT_THREADS`` if set (an integer; below 1 means 1), else the
-    CPU count up to 4."""
+    number of CPUs this process may run on, up to 4."""
     env = os.environ.get("RA_BEAMKIT_THREADS")
     if env is None:
+        if hasattr(os, "sched_getaffinity"):    # not on every platform
+            return min(len(os.sched_getaffinity(0)), 4)
         return min(os.cpu_count() or 1, 4)
     try:
         return max(1, int(env))
@@ -142,13 +146,164 @@ def gain_to_db(gain_linear) -> np.ndarray:
     return np.where(np.isnan(db) | (db < DB_FLOOR), DB_FLOOR, db)
 
 
+# ---------------------------------------------------------------------------
+# "%.17g" for arrays
+#
+# For finite |x| in [1e-4, 1e16), "%.17g" is fixed notation: the 17
+# significant digits D, the integer nearest |x| * 10**(16 - e) with ties to
+# even, e = floor(log10 |x|), with the point after digit e and trailing
+# fraction zeros and a bare point stripped.  10**k is exact in float64 for
+# k <= 22, Dekker's product splits |x| * 10**k exactly into p + err, and
+# p >= 10**16 > 2**53 is an even integer, so D = p + rint(err).  Each field is
+# laid out in a cell of NUL-padded words; one bytes.translate per block
+# deletes the NULs.  Every other value (zero, exponent notation, nan, inf) is
+# formatted by Python.
+
+_POW10 = np.array([float(10 ** k) for k in range(22)])
+
+
+def _halves(a):
+    """Veltkamp's split of ``a`` into two halves of at most 26 bits."""
+    t = a * 134217729.0           # 2**27 + 1
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+_POW10_HALVES = _halves(_POW10)
+
+
+def _significand(a, e):
+    """round(a * 10**(16 - e)), ties to even, as int64 (Dekker 1971)."""
+    k = 16 - e
+    b = _POW10.take(k)
+    bhi, blo = (h.take(k) for h in _POW10_HALVES)
+    p = a * b
+    ahi, alo = _halves(a)
+    err = ahi * bhi
+    err -= p
+    err += ahi * blo
+    err += alo * bhi
+    err += alo * blo
+    return p.astype(np.int64) + np.rint(err, out=err).astype(np.int64)
+
+
+def _divmod(v, base):
+    # floor division by a scalar is much faster than % or np.divmod
+    q = v // base
+    return q, v - q * base
+
+
+def _words(chunks, dtype=np.uint32):
+    return np.frombuffer(b"".join(chunks), dtype)
+
+
+# a field's cell, in 12 words: sign, "0." and leading zeros or the first
+# digit (2 words); digits 1-16 of the integer part (4); the point or the
+# first digit (1); digits 1-16 of the fraction (4); the separator (1)
+_CELL_WORDS = 12
+# _HEAD[(min(e, 0) + 4) * 20 + negative * 10 + first digit]
+_HEAD = _words([(b"-" if neg else b"\0")
+                + (b"0.000"[:1 - e] if e < 0 else b"").ljust(6, b"\0")
+                + (b"%d" % d if e == 0 else b"\0")
+                for e in range(-4, 1) for neg in (0, 1) for d in range(10)],
+               np.uint64)
+# _MID[point * 11 + first digit, or 10 for none]
+_MID = _words(b"\0\0" + (b"." if dot else b"\0")
+              + (b"%d" % d if d < 10 else b"\0")
+              for dot in (0, 1) for d in range(11))
+# _DIGITS4[v]: the four digits of v < 10**4; at v + 10**4, _FRACTION4 holds
+# them with trailing zeros as NULs, for the last nonzero quad of a fraction
+# and the zero quads after it.  (Built from small arrays: 2 * 10**4 bytes
+# objects would leave interpreter heap behind.)
+_quad = np.arange(10000, dtype=np.int16)
+_digits = np.stack([_quad // 10 ** (3 - b) % 10 for b in range(4)],
+                   axis=1).astype(np.uint8)
+_significant = np.maximum.accumulate(_digits[:, ::-1], axis=1)[:, ::-1] > 0
+_FRACTION4 = np.concatenate([_digits + 48, (_digits + 48) * _significant]
+                            ).view(np.uint32).ravel()
+_DIGITS4 = _FRACTION4[:10000]
+del _quad, _digits, _significant
+# _INTEGER[j][e + 4]: the bytes of quad j (digits 4j + 1 to 4j + 4) that lie
+# in the integer part, which ends at digit e
+_INTEGER = [_words(bytes(255 if 4 * j + 1 + b <= e else 0 for b in range(4))
+                   for e in range(-4, 17)) for j in range(4)]
+_SEPARATORS = _words([b"\0\0\0,", b"\0\0\0,", b"\0\0\0\n"])
+
+
+def _format_rows(columns) -> str:
+    """``"".join("%.17g,%.17g,%.17g\n" % row for row in zip(*columns))``
+    for three float arrays, byte for byte."""
+    x = np.stack(columns, axis=1).ravel()
+    a = np.abs(x)
+    fast = (a >= 1e-4) & (a < 1e16)
+    a[~fast] = 1.0
+    e = np.floor(np.log10(a)).astype(np.intp)
+    d = _significand(a, e)
+    # log10 may be one off next to a power of ten, and D may round up to
+    # 10**17.  Both leave D outside [10**16, 10**17): for every double in
+    # [1e-4, 1e16), an e one too high puts a * 10**k at least 0.83 below
+    # 10**16.
+    off = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
+    fix = np.flatnonzero(off)
+    if fix.size:
+        e[fix] += off[fix]
+        d[fix] = _significand(a[fix], e[fix])
+        fast &= (d >= 10 ** 16) & (d < 10 ** 17)
+    del a, off, fix
+    first, d = _divmod(d, 10 ** 16)
+    hi, lo = _divmod(d, 10 ** 8)
+    del d
+    quads = [*_divmod(hi, 10 ** 4), *_divmod(lo, 10 ** 4)]   # digits 1-16
+    del hi, lo
+
+    buf = bytearray(4 * _CELL_WORDS * x.size)
+    cells = np.frombuffer(buf, np.uint32).reshape(x.size, _CELL_WORDS)
+    fraction_only = e < 0
+    cells.view(np.uint64)[:, 0] = _HEAD.take(
+        (np.minimum(e, 0) + 4) * 20 + (x < 0) * 10 + first)
+    e += 4
+    trailing = np.ones(x.size, bool)     # every later digit is zero
+    has_fraction = np.zeros(x.size, bool)
+    for j in (3, 2, 1, 0):
+        integer = _INTEGER[j].take(e)
+        cells[:, 2 + j] = _DIGITS4.take(quads[j]) & integer
+        fraction = _FRACTION4.take(quads[j] + 10000 * trailing)
+        fraction &= ~integer
+        cells[:, 7 + j] = fraction
+        has_fraction |= fraction != 0
+        trailing &= quads[j] == 0
+    first[~fraction_only] = 10
+    has_fraction &= ~fraction_only
+    cells[:, 6] = _MID.take(has_fraction * 11 + first)
+    cells.reshape(-1, 3, _CELL_WORDS)[:, :, -1] = _SEPARATORS
+
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        text = ["%.17g" % v for v in x[slow].tolist()]
+        lengths = np.array([len(t) for t in text])
+        cells[slow, :-1] = 0
+        at = np.repeat(slow * 4 * _CELL_WORDS - np.cumsum(lengths) + lengths,
+                       lengths)
+        at += np.arange(at.size)
+        cells.view(np.uint8).reshape(-1)[at] = np.frombuffer(
+            "".join(text).encode(), np.uint8)
+    del cells
+    return buf.translate(None, b"\0").decode("ascii")
+
+
 def _pattern_csv_block(state, pattern, geometry, step_deg, start, stop) -> str:
     # a function of its own, so a block's arrays are freed when it returns
     psi, gains = sample_gain_pattern(state, pattern, geometry, step_deg,
                                      start, stop)
-    columns = (psi, gains, gain_to_db(gains))
-    return "".join(_CSV_ROW % row
-                   for row in zip(*(c.tolist() for c in columns)))
+    return _format_rows((psi, gains, gain_to_db(gains)))
+
+
+def pattern_block_rows(num_antennas: int) -> int:
+    """Rows per block of ``write_pattern_csv``: as many as fit in
+    ``PATTERN_BLOCK_BYTES`` at the traced bytes a row costs to sample (per
+    antenna) plus to format."""
+    return max(1, PATTERN_BLOCK_BYTES // (_SAMPLE_ROW_BYTES * num_antennas
+                                          + _FORMAT_ROW_BYTES))
 
 
 def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
@@ -156,15 +311,14 @@ def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
     """Sample the gain pattern and write it as CSV.
 
     ``path`` is a file path, or an open text stream, which is left open.
-    The grid is streamed in blocks of at most ``PATTERN_BLOCK_ENTRIES``
-    entries (rows times N + 3): each block is sampled, converted to dB,
-    formatted row by row from ``tolist()`` floats and written before the
-    next is sampled, so memory stays flat however fine the step.  (One
-    ``%`` over a block's flattened rows was no faster, and it grew the peak
-    RSS of long loops of solves and writes.)
+    The grid is streamed in blocks of ``pattern_block_rows(N)`` rows: each
+    block is sampled, converted to dB, formatted and written before the next
+    is sampled, so memory stays flat however fine the step.  Every number is
+    written as ``"%.17g"`` writes it; the numbers in [1e-4, 1e16) are
+    formatted by array arithmetic, the others by Python.
     """
     rows = _pattern_rows(step_deg)
-    block = max(1, PATTERN_BLOCK_ENTRIES // (geometry.num_antennas + 3))
+    block = pattern_block_rows(geometry.num_antennas)
     with (nullcontext(path) if hasattr(path, "write") else
           open(path, "w", encoding="utf-8", newline="")) as fh:
         fh.write("psi_deg,gain_linear,gain_db\n")
@@ -332,8 +486,9 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
     base spec) are reused across sweep values so cells are paired.  The CSV
     reports the mean of per-scenario dB gains and each scheme's shortfall
     against the rotating scheme.  Returns ``{value: {scheme: mean_db}}``.
-    Each value gets the checks of the scenario file key it replaces; the
-    messages name ``--values``, the CLI flag that carries them.
+    Each value gets the checks of the scenario file key it replaces, and no
+    value may repeat; the messages name ``--values``, the CLI flag that
+    carries them.
     """
     if field_name not in SWEEP_FIELDS:
         raise ScenarioError(
@@ -342,6 +497,8 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
         raise ScenarioError("number of sweep scenarios must be >= 1")
     swept = [_replace_field(spec, field_name, value, "--values")
              for value in values]
+    if len(set(values)) < len(values):   # -5 and -5.0 are one value
+        raise ScenarioError("--values repeats a value")
     workers = worker_count()
     os.makedirs(output_dir, exist_ok=True)
     tasks = [(s, vi, j, base_seed) for vi, s in enumerate(swept)

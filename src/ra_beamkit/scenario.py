@@ -215,7 +215,7 @@ def load_scenario(path) -> ScenarioSpec:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:    # not JSON, or not UTF-8
             raise ScenarioError(f"invalid JSON in scenario file: {exc}") from exc
     return parse_scenario(doc)
 

@@ -1,10 +1,13 @@
 import csv
 import io
 import json
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, array_gain)
@@ -135,6 +138,16 @@ def test_non_finite_number_exits_1(tmp_path, capsys, key, literal):
     path.write_text(f'{{"desired_angles_deg": [90.0], "{key}": {literal}}}')
     assert main(["run", str(path), "--out", str(tmp_path / "o")]) == 1
     assert key in capsys.readouterr().err
+
+
+def test_scenario_with_non_utf8_bytes_exits_1(tmp_path, capsys):
+    # before: exit 2, "solver error: 'utf-8' codec can't decode byte 0xff"
+    path = tmp_path / "bad.json"
+    path.write_bytes(b'{"desired_angles_deg": [90.0]}\xff')
+    out = tmp_path / "o"
+    assert main(["run", str(path), "--out", str(out)]) == 1
+    assert "scenario error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_file_exits_3(tmp_path):
@@ -277,11 +290,13 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     (["sweep", "--field", "eta_max_db", "--values", "-5", "--base-seed", "-1"],
      "--base-seed"),
     (["run", "--schemes", "foa,FOA"], "--schemes"),
+    (["sweep", "--field", "eta_max_db", "--values=-5,-5,-5.0"], "--values"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # before: --step inf and --values inf exited 0, 4.7 solved N = 4,
     # nan, 0 and -1 exited 2 from the solver, --base-seed -1 exited 2 and
-    # --schemes foa,FOA solved and wrote every seed twice
+    # --schemes foa,FOA solved and wrote every seed twice; --values -5,-5,-5.0
+    # solved each copy and wrote the last one's cells three times
     scenario = write_scenario(tmp_path)
     state = tmp_path / "report.json"
     state.write_text(json.dumps({"scheme": "FOA", "final_state": {
@@ -315,7 +330,7 @@ def test_streamed_pattern_matches_one_shot_grid(n, step, element):
     pattern = RadiationPattern() if element == "patterned" else None
     geo, state = ArrayGeometry(n), _random_state(n)
     rows = int(round(180.0 / step)) + 1
-    block = experiments.PATTERN_BLOCK_ENTRIES // (n + 3)
+    block = experiments.pattern_block_rows(n)
     assert rows > 2 * block and rows % block    # >= 3 blocks, ragged last
     psi = np.linspace(0.0, 180.0, rows)
     gains = array_gain(state.weights, pattern, geo, state.rotations_deg, psi)
@@ -441,3 +456,70 @@ def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, command,
 def test_thread_count_is_clamped_to_one(monkeypatch, value, expected):
     monkeypatch.setenv("RA_BEAMKIT_THREADS", value)
     assert experiments.worker_count() == expected
+
+
+def test_worker_count_follows_the_cpus_this_process_may_use(monkeypatch):
+    monkeypatch.delenv("RA_BEAMKIT_THREADS")
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
+    assert experiments.worker_count() == 3
+    monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    assert experiments.worker_count() == 4
+
+
+def _exact_tie(k, i):
+    """(2i + 1) / 2**(k + 1): times 10**k it is an odd multiple of 1/2."""
+    return (2 * i + 1) / 2 ** (k + 1)
+
+
+def _tie_range(k):
+    # the i with the tie in [10**(16 - k), 10**(17 - k)), where "%.17g"
+    # keeps k decimals, and 2i + 1 < 2**53, so that the float is exact
+    low = Fraction(10) ** (16 - k)
+    high = min(Fraction(10) ** (17 - k), Fraction(2) ** (52 - k))
+    return (math.ceil((low * 2 ** (k + 1) - 1) / 2),
+            math.ceil((high * 2 ** (k + 1) - 1) / 2) - 1)
+
+
+_ties = st.integers(1, 20).flatmap(
+    lambda k: st.integers(*_tie_range(k)).map(lambda i: _exact_tie(k, i)))
+
+
+def _ulps_from(x, steps):
+    for _ in range(abs(steps)):
+        x = math.nextafter(x, math.copysign(math.inf, steps))
+    return x
+
+
+_numbers = st.one_of(
+    st.integers(0, 2 ** 64 - 1).map(                       # any bit pattern
+        lambda b: float(np.array(b, np.uint64).view(np.float64))),
+    st.floats(1e-4, 1e16, exclude_max=True),
+    st.builds(lambda p, steps: _ulps_from(float(f"1e{p}"), steps),
+              st.integers(-6, 18), st.integers(-4, 4)),
+    _ties,
+    st.sampled_from([0.0, math.nan, math.inf, 180.0, -300.0]),
+).flatmap(lambda v: st.sampled_from([v, -v]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(_numbers, _numbers, _numbers), min_size=1,
+                max_size=40))
+@example([(1e15 + 0.25, 1e15 + 0.75, 5e-5)])
+@example([(float(np.nextafter(1e16, 0)), float(np.nextafter(1e-4, 0)),
+           float(np.nextafter(0.1, 1)))])
+def test_format_rows_matches_percent_17g(rows):
+    columns = [np.array(c, dtype=float) for c in zip(*rows)]
+    expected = "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
+    assert experiments._format_rows(columns) == expected
+
+
+@pytest.mark.parametrize("k", [1, 8, 16, 20])
+def test_exact_ties_are_ties(k):
+    # the tie strategy above draws what it claims to
+    low, high = _tie_range(k)
+    for i in (low, high):
+        x = Fraction(_exact_tie(k, i))
+        assert Fraction(10) ** (16 - k) <= x < Fraction(10) ** (17 - k)
+        assert x * 10 ** k % 1 == Fraction(1, 2)
