@@ -11,7 +11,7 @@ scheme.
 import argparse
 
 from ra_beamkit.experiments import run_sweep
-from ra_beamkit.scenario import ScenarioSpec
+from ra_beamkit.scenario import ScenarioError, parse_scenario
 
 
 def main():
@@ -25,13 +25,23 @@ def main():
     ap.add_argument("--out", default="out/antenna_sweep")
     args = ap.parse_args()
 
-    base = ScenarioSpec(desired_angles_deg=[55.0, 60.0],
-                        interference_angles_deg=[20.0, 160.0],
-                        eta_max_db=-10.0,
-                        seeds=tuple(range(args.seeds)))
-    values = [int(v) for v in args.values.split(",")]
-    results = run_sweep(base, "num_antennas", values, args.scenarios,
-                        args.base_seed, args.out)
+    try:
+        base = parse_scenario({"desired_angles_deg": [55.0, 60.0],
+                               "interference_angles_deg": [20.0, 160.0],
+                               "eta_max_db": -10.0, "seeds": args.seeds})
+    except ScenarioError as exc:
+        ap.error(f"argument --seeds: {exc}")
+    try:
+        values = [int(v) for v in args.values.split(",")]
+    except ValueError:
+        ap.error(f"argument --values: not a list of integers: {args.values!r}")
+    if args.base_seed < 0:
+        ap.error("argument --base-seed: must be >= 0")
+    try:    # its messages name --values or --scenarios
+        results = run_sweep(base, "num_antennas", values, args.scenarios,
+                            args.base_seed, args.out)
+    except ScenarioError as exc:
+        ap.error(str(exc))
     for value in values:
         means = results[value]
         line = "  ".join(f"{s}={means[s]:7.2f} dB" for s in base.schemes)

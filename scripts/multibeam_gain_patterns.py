@@ -12,7 +12,7 @@ import argparse
 import os
 
 from ra_beamkit.experiments import run_scenario
-from ra_beamkit.scenario import ScenarioSpec
+from ra_beamkit.scenario import ScenarioError, parse_scenario
 
 SETUPS = {
     "close": ([55.0, 60.0], [20.0, 160.0]),
@@ -27,15 +27,24 @@ def main():
     ap.add_argument("--out", default="out/multibeam")
     args = ap.parse_args()
 
+    specs = {}      # every setup is checked before the first one runs
     for name in args.setups.split(","):
+        if name not in SETUPS:
+            ap.error(f"argument --setups: unknown setup '{name}' "
+                     f"(choose from {', '.join(SETUPS)})")
         desired, interference = SETUPS[name]
-        spec = ScenarioSpec(desired_angles_deg=desired,
-                            interference_angles_deg=interference,
-                            eta_max_db=-10.0,
-                            seeds=tuple(range(args.seeds)))
+        try:
+            specs[name] = parse_scenario({
+                "desired_angles_deg": desired,
+                "interference_angles_deg": interference,
+                "eta_max_db": -10.0, "seeds": args.seeds})
+        except ScenarioError as exc:
+            ap.error(f"argument --seeds: {exc}")
+
+    for name, spec in specs.items():
         outdir = os.path.join(args.out, name)
-        print(f"--- setup '{name}': desired {desired}, "
-              f"interference {interference}")
+        print(f"--- setup '{name}': desired {spec.desired_angles_deg}, "
+              f"interference {spec.interference_angles_deg}")
         run_scenario(spec, outdir)
         print(f"wrote {outdir}")
 

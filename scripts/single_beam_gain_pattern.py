@@ -9,7 +9,7 @@ per-scheme gain patterns and a summary into the output directory.
 import argparse
 
 from ra_beamkit.experiments import run_scenario
-from ra_beamkit.scenario import ScenarioSpec
+from ra_beamkit.scenario import ScenarioError, parse_scenario
 
 
 def main():
@@ -21,9 +21,18 @@ def main():
     ap.add_argument("--out", default="out/single_beam")
     args = ap.parse_args()
 
-    spec = ScenarioSpec(desired_angles_deg=[args.angle],
-                        num_antennas=args.num_antennas,
-                        seeds=tuple(range(args.seeds)))
+    # the flags enter the scenario schema one at a time, so a rejected
+    # value is reported under its own flag
+    doc = {}
+    for flag, key, value in (("--angle", "desired_angles_deg", [args.angle]),
+                             ("--num-antennas", "num_antennas",
+                              args.num_antennas),
+                             ("--seeds", "seeds", args.seeds)):
+        doc[key] = value
+        try:
+            spec = parse_scenario(doc)
+        except ScenarioError as exc:
+            ap.error(f"argument {flag}: {exc}")
     run_scenario(spec, args.out)
     print(f"wrote gain patterns and summary to {args.out}")
 

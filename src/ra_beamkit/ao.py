@@ -1,9 +1,10 @@
 """Outer alternating optimization and the scheme solvers.
 
-``solve_ra`` alternates the convex weight step and the swarm rotation step
-until the true worst-direction gain stops improving.  ``solve_foa`` pins all
-rotations to zero, ``solve_ia`` additionally replaces the element pattern with
-an isotropic one; both reduce to the weight subproblem alone.  The single-beam,
+All three schemes run one outer loop.  ``solve_ra`` alternates the convex
+weight step and the swarm rotation step until the true worst-direction gain
+stops improving.  The baselines are the same loop without the rotation step:
+``solve_foa`` holds every rotation at zero (broadside), and ``solve_ia``
+also replaces the element pattern with an isotropic one.  The single-beam,
 no-interference case has a closed form: phase-match the steering vector and
 point every element's boresight at the signal, clamped to the rotation range.
 """
@@ -77,87 +78,35 @@ def _pso_child_seed(base_seed: int, outer_iteration: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def solve_ra(scenario: Scenario, pattern: RadiationPattern,
-             geometry: ArrayGeometry, initial: BeamformerState,
-             config: AoConfig = None, seed: int = None) -> RunReport:
-    """Joint weight/rotation optimization by alternating the two subproblems.
-
-    The tracked objective is the true min desired gain at the current state;
-    the loop stops once its increase falls below the outer threshold.  The
-    swarm step reuses the current rotations as one particle, so together with
-    the ascent property of the weight step the objective never decreases.
+def _alternate(scenario, pattern, geometry, initial: BeamformerState,
+               config, scheme, seed) -> RunReport:
+    """The outer loop of every scheme: the weight step and, for RA only, the
+    swarm step, until the true min desired gain rises by less than the outer
+    threshold.  The swarm reuses the current rotations as one particle, so
+    with the ascent of the weight step the objective never decreases.
     """
     config = config or AoConfig()
-    bounds = rotation_bounds(pattern)
-    initial.validate(bounds)
-    if not np.any(initial.weights):
-        raise ValueError("initial weights must be nonzero")
-
+    initial.validate(rotation_bounds(pattern) if scheme == "RA" else None)
     weights = initial.weights
     rotations = initial.rotations_deg.copy()
     history = []
-    obj_prev = -np.inf
-    outer = 0
     nonoptimal = 0
     for m in range(1, config.max_outer_iterations + 1):
-        outer = m
         sca_report = optimize_weights(
             BeamformerState(weights, rotations), scenario, pattern, geometry,
             config.sca)
         weights = sca_report.weights
         nonoptimal += sca_report.nonoptimal_subproblems
-        pso_cfg = replace(config.pso,
-                          rng_seed=_pso_child_seed(config.pso.rng_seed, m))
-        rotations, _ = optimize_rotations(weights, rotations, scenario,
-                                          pattern, geometry, pso_cfg)
-        objective = min_desired_gain(weights, pattern, geometry, rotations,
-                                     scenario)
-        history.append(objective)
-        if objective - obj_prev < config.delta_threshold:
+        if scheme == "RA":
+            pso_cfg = replace(config.pso,
+                              rng_seed=_pso_child_seed(config.pso.rng_seed, m))
+            rotations, _ = optimize_rotations(weights, rotations, scenario,
+                                              pattern, geometry, pso_cfg)
+        history.append(min_desired_gain(weights, pattern, geometry,
+                                        rotations, scenario))
+        if len(history) > 1 and \
+                history[-1] - history[-2] < config.delta_threshold:
             break
-        obj_prev = objective
-
-    state = BeamformerState(weights, rotations)
-    return RunReport(
-        final_state=state,
-        min_desired_gain=history[-1],
-        max_interference_gain=max_interference_gain(weights, pattern, geometry,
-                                                    rotations, scenario),
-        objective_history=history,
-        outer_iterations=outer,
-        scheme="RA",
-        seed=int(seed if seed is not None else config.pso.rng_seed),
-        nonoptimal_subproblems=nonoptimal)
-
-
-def _solve_weights_only(scenario, pattern, geometry, initial_weights, config,
-                        scheme, seed):
-    """Shared FOA/IA path: rotations pinned to zero, weight step only."""
-    config = config or AoConfig()
-    weights = np.asarray(initial_weights, dtype=complex)
-    if not np.any(weights):
-        raise ValueError("initial weights must be nonzero")
-    if np.linalg.norm(weights) > 1.0 + 1e-8:
-        raise ValueError("initial weight norm exceeds 1")
-    n = geometry.num_antennas
-    rotations = np.zeros(n)
-
-    history = []
-    obj_prev = -np.inf
-    outer = 0
-    nonoptimal = 0
-    for _ in range(config.max_outer_iterations):
-        outer += 1
-        report = optimize_weights(BeamformerState(weights, rotations),
-                                  scenario, pattern, geometry, config.sca)
-        weights = report.weights
-        nonoptimal += report.nonoptimal_subproblems
-        objective = min_desired_gain(weights, pattern, geometry, rotations,
-                                     scenario)
-        history.append(objective)
-        if objective - obj_prev < config.delta_threshold:
-            break
-        obj_prev = objective
 
     return RunReport(
         final_state=BeamformerState(weights, rotations),
@@ -165,22 +114,29 @@ def _solve_weights_only(scenario, pattern, geometry, initial_weights, config,
         max_interference_gain=max_interference_gain(weights, pattern, geometry,
                                                     rotations, scenario),
         objective_history=history,
-        outer_iterations=outer,
+        outer_iterations=len(history),
         scheme=scheme,
         seed=int(seed if seed is not None else config.pso.rng_seed),
         nonoptimal_subproblems=nonoptimal)
+
+
+def solve_ra(scenario: Scenario, pattern: RadiationPattern,
+             geometry: ArrayGeometry, initial: BeamformerState,
+             config: AoConfig = None, seed: int = None) -> RunReport:
+    """Joint weight/rotation optimization by alternating the two steps."""
+    return _alternate(scenario, pattern, geometry, initial, config, "RA", seed)
 
 
 def solve_foa(scenario: Scenario, pattern: RadiationPattern,
               geometry: ArrayGeometry, initial_weights,
               config: AoConfig = None, seed: int = None) -> RunReport:
     """Fixed-orientation baseline: rotations stay at zero."""
-    return _solve_weights_only(scenario, pattern, geometry, initial_weights,
-                               config, "FOA", seed)
+    start = BeamformerState(initial_weights, np.zeros(geometry.num_antennas))
+    return _alternate(scenario, pattern, geometry, start, config, "FOA", seed)
 
 
 def solve_ia(scenario: Scenario, geometry: ArrayGeometry, initial_weights,
              config: AoConfig = None, seed: int = None) -> RunReport:
     """Isotropic baseline: unit element gain in every direction."""
-    return _solve_weights_only(scenario, None, geometry, initial_weights,
-                               config, "IA", seed)
+    start = BeamformerState(initial_weights, np.zeros(geometry.num_antennas))
+    return _alternate(scenario, None, geometry, start, config, "IA", seed)

@@ -95,11 +95,11 @@ class BeamformerState:
         if self.weights.shape != self.rotations_deg.shape:
             raise ValueError("weights and rotations_deg lengths differ")
 
-    def validate(self, bounds: RotationBounds, atol: float = 1e-8):
-        """Check the norm ball and rotation-range feasibility constraints."""
+    def validate(self, bounds: RotationBounds = None, atol: float = 1e-8):
+        """Check the norm ball and, given ``bounds``, the rotation range."""
         if np.linalg.norm(self.weights) > 1.0 + atol:
             raise ValueError("weight norm exceeds 1")
-        if not bounds.contains(self.rotations_deg, atol=atol):
+        if bounds is not None and not bounds.contains(self.rotations_deg, atol):
             raise ValueError("rotation outside the allowed range")
 
 

@@ -487,14 +487,14 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
     reports the mean of per-scenario dB gains and each scheme's shortfall
     against the rotating scheme.  Returns ``{value: {scheme: mean_db}}``.
     Each value gets the checks of the scenario file key it replaces, and no
-    value may repeat; the messages name ``--values``, the CLI flag that
-    carries them.
+    value may repeat; the messages name ``--values`` and ``--scenarios``,
+    the CLI flags that carry them.
     """
     if field_name not in SWEEP_FIELDS:
         raise ScenarioError(
             f"sweep field must be one of {', '.join(SWEEP_FIELDS)}")
     if num_scenarios < 1:
-        raise ScenarioError("number of sweep scenarios must be >= 1")
+        raise ScenarioError("--scenarios (sweep scenarios) must be >= 1")
     swept = [_replace_field(spec, field_name, value, "--values")
              for value in values]
     if len(set(values)) < len(values):   # -5 and -5.0 are one value

@@ -19,10 +19,10 @@ The nested objects are the fields of ``RadiationPattern``, ``AoConfig``,
 the README lists; an absent key takes its default, and unknown keys anywhere
 are rejected.  A key typed ``int`` takes an integer >= 1 and any other
 scalar a finite number: the ``NaN`` and ``Infinity`` literals that Python's
-json module reads are rejected.  Angles lie in [0, 180], and the desired and
-interference sets are disjoint, and no scheme is listed twice.  ``seeds`` is
-a list of ints >= 0 or a count M, meaning 0..M-1.  The swarm's ``rng_seed``
-is derived per run, not read.
+json module reads are rejected.  Angles lie in [0, 180], the desired and
+interference sets are disjoint, and no scheme or seed is listed twice.
+``seeds`` is a list of ints >= 0 or a count M, meaning 0..M-1.  The swarm's
+``rng_seed`` is derived per run, not read.
 
 Two resource ceilings bound what a scenario may ask for:
 ``num_antennas`` <= ``MAX_ANTENNAS``, and the sampled pattern,
@@ -135,6 +135,8 @@ def _seeds(value, key, context):
         return tuple(range(value))
     if isinstance(value, list) and value and \
             all(type(s) is int and s >= 0 for s in value):
+        if len(set(value)) < len(value):
+            raise ScenarioError(f"key '{key}' in {context} repeats a seed")
         return tuple(value)
     raise ScenarioError(f"key '{key}' in {context} must be an integer count "
                         f"or a list of non-negative integers")

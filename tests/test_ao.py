@@ -252,3 +252,24 @@ class TestNonoptimalSubproblems:
             assert report.nonoptimal_subproblems == len(calls) // 2
             # kept out of the report file, which stays byte-identical
             assert "nonoptimal_subproblems" not in report_to_dict(report, spec)
+
+
+@pytest.mark.parametrize("outer", [3, 20])
+@pytest.mark.parametrize("scheme", ["RA", "FOA", "IA"])
+def test_outer_stop_rule(scheme, outer):
+    # every scheme runs one outer loop: it goes on while a step raises the
+    # true worst desired gain by at least delta_threshold and stops after
+    # the first step that does not, or at the cap (here RA at outer=3)
+    sc = Scenario((55.0, 60.0), (20.0, 160.0), -10.0)
+    w0 = random_initial_weights(15, 1)
+    config = quick_config(seed=1, particles=30, outer=outer)
+    run = {"RA": lambda: solve_ra(sc, PAT, GEO15,
+                                  BeamformerState(w0, np.zeros(15)), config),
+           "FOA": lambda: solve_foa(sc, PAT, GEO15, w0, config),
+           "IA": lambda: solve_ia(sc, GEO15, w0, config)}[scheme]
+    report = run()
+    steps = np.diff(report.objective_history)
+    assert report.outer_iterations == len(report.objective_history) >= 2
+    assert np.all(steps[:-1] >= config.delta_threshold)
+    assert report.outer_iterations == outer \
+        or steps[-1] < config.delta_threshold

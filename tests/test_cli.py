@@ -291,6 +291,8 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
      "--base-seed"),
     (["run", "--schemes", "foa,FOA"], "--schemes"),
     (["sweep", "--field", "eta_max_db", "--values=-5,-5,-5.0"], "--values"),
+    (["sweep", "--field", "eta_max_db", "--values", "-5", "--scenarios", "0"],
+     "--scenarios"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # before: --step inf and --values inf exited 0, 4.7 solved N = 4,

@@ -108,6 +108,9 @@ def test_scheme_normalization():
     # a repeat would solve and write every seed twice
     with pytest.raises(ScenarioError, match="'schemes'.*repeats"):
         parse_scenario({**MINIMAL, "schemes": ["FOA", "foa"]})
+    # so would a repeated seed: each run is deterministic
+    with pytest.raises(ScenarioError, match="'seeds'.*repeats"):
+        parse_scenario({**MINIMAL, "seeds": [3, 3, 3]})
 
 
 def test_non_numeric_values_rejected():
