@@ -9,7 +9,7 @@ no-interference case has a closed form: phase-match the steering vector and
 point every element's boresight at the signal, clamped to the rotation range.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -71,10 +71,9 @@ def solve_single_beam(theta_desired_deg: float, pattern: RadiationPattern,
     return BeamformerState(weights=weights, rotations_deg=rotations)
 
 
-def _pso_child_seed(base_seed: int, outer_iteration: int) -> int:
-    # distinct, reproducible stream per outer iteration
-    ss = np.random.SeedSequence(entropy=int(base_seed) & (2 ** 64 - 1),
-                                spawn_key=(outer_iteration,))
+def child_seed(*entropy, spawn_key=()) -> int:
+    """A 64-bit seed drawn from the ints >= 0 ``entropy`` and ``spawn_key``."""
+    ss = np.random.SeedSequence([int(e) for e in entropy], spawn_key=spawn_key)
     return int(ss.generate_state(1, np.uint64)[0])
 
 
@@ -98,10 +97,9 @@ def _alternate(scenario, pattern, geometry, initial: BeamformerState,
         weights = sca_report.weights
         nonoptimal += sca_report.nonoptimal_subproblems
         if scheme == "RA":
-            pso_cfg = replace(config.pso,
-                              rng_seed=_pso_child_seed(config.pso.rng_seed, m))
-            rotations, _ = optimize_rotations(weights, rotations, scenario,
-                                              pattern, geometry, pso_cfg)
+            rotations, _ = optimize_rotations(
+                weights, rotations, scenario, pattern, geometry, config.pso,
+                child_seed(seed, spawn_key=(m,)))
         history.append(min_desired_gain(weights, pattern, geometry,
                                         rotations, scenario))
         if len(history) > 1 and \
@@ -116,27 +114,28 @@ def _alternate(scenario, pattern, geometry, initial: BeamformerState,
         objective_history=history,
         outer_iterations=len(history),
         scheme=scheme,
-        seed=int(seed if seed is not None else config.pso.rng_seed),
+        seed=int(seed),
         nonoptimal_subproblems=nonoptimal)
 
 
 def solve_ra(scenario: Scenario, pattern: RadiationPattern,
              geometry: ArrayGeometry, initial: BeamformerState,
-             config: AoConfig = None, seed: int = None) -> RunReport:
-    """Joint weight/rotation optimization by alternating the two steps."""
+             config: AoConfig = None, seed: int = 0) -> RunReport:
+    """Joint weight/rotation optimization by alternating the two steps.
+    ``seed`` (an int >= 0) roots every swarm stream and labels the report."""
     return _alternate(scenario, pattern, geometry, initial, config, "RA", seed)
 
 
 def solve_foa(scenario: Scenario, pattern: RadiationPattern,
               geometry: ArrayGeometry, initial_weights,
-              config: AoConfig = None, seed: int = None) -> RunReport:
+              config: AoConfig = None, seed: int = 0) -> RunReport:
     """Fixed-orientation baseline: rotations stay at zero."""
     start = BeamformerState(initial_weights, np.zeros(geometry.num_antennas))
     return _alternate(scenario, pattern, geometry, start, config, "FOA", seed)
 
 
 def solve_ia(scenario: Scenario, geometry: ArrayGeometry, initial_weights,
-             config: AoConfig = None, seed: int = None) -> RunReport:
+             config: AoConfig = None, seed: int = 0) -> RunReport:
     """Isotropic baseline: unit element gain in every direction."""
     start = BeamformerState(initial_weights, np.zeros(geometry.num_antennas))
     return _alternate(scenario, None, geometry, start, config, "IA", seed)

@@ -59,6 +59,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+MAX_TOLERANCE = 1e-6         # loosest gap certified; looser requests get this
 _NEWTON_TOL = 1e-11          # squared Newton decrement / 2, final stage
 _STAGE_TOL = 1e-3            # the same, stages before the final one
 _MAX_NEWTON_PER_STAGE = 80
@@ -115,12 +116,12 @@ class ConvexSolution:
 
 
 def solve_epigraph(problem: EpigraphProblem,
-                   tolerance: float = 1e-6) -> ConvexSolution:
+                   tolerance: float = MAX_TOLERANCE) -> ConvexSolution:
     """Solve the epigraph subproblem to the requested absolute accuracy.
 
     The returned weights are strictly feasible and the objective is a
     certified lower bound on the optimum within ``tolerance`` (and within
-    1e-6, whichever is tighter).
+    ``MAX_TOLERANCE``, whichever is tighter).
     """
     if not tolerance > 0:
         raise ValueError("tolerance must be > 0")
@@ -132,7 +133,7 @@ def solve_epigraph(problem: EpigraphProblem,
     zh = np.zeros(2 * r + 2)                             # y = 0, then t, 1
     zh[-2:] = -b.max() - max(1.0, 0.05 * (np.abs(b).max() + 1.0)), 1.0
 
-    mu_final = _GAP_MARGIN * len(S) / min(tolerance, 1e-6)
+    mu_final = _GAP_MARGIN * len(S) / min(tolerance, MAX_TOLERANCE)
     mu, status = 1.0, "max_iterations"
     while _center(zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL, S):
         if mu == mu_final:

@@ -20,8 +20,8 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from .ao import (RunReport, random_initial_weights, solve_foa, solve_ia,
-                 solve_ra)
+from .ao import (RunReport, child_seed, random_initial_weights, solve_foa,
+                 solve_ia, solve_ra)
 from .array_model import (BeamformerState, array_gain, full_array_gain,
                           rotation_bounds)
 from .scenario import (VALID_SCHEMES, ScenarioError, ScenarioSpec,
@@ -37,44 +37,40 @@ _SAMPLE_ROW_BYTES = 32
 _FORMAT_ROW_BYTES = 448
 
 
-def _child_seed(*entropy) -> int:
-    return int(np.random.SeedSequence(tuple(int(e) for e in entropy))
-               .generate_state(1, np.uint64)[0])
-
-
 def initial_rotations(seed: int, desired_angles_deg, pattern, num_antennas,
-                      stream_seed=None) -> np.ndarray:
+                      stream_seed) -> np.ndarray:
     """Starting rotations for one seeded run (see module docstring)."""
     if seed == 0:
         return np.zeros(num_antennas)
     bounds = rotation_bounds(pattern)
     candidates = np.array([float(bounds.clip(a - 90.0))
                            for a in desired_angles_deg])
-    rng = np.random.default_rng(seed if stream_seed is None else stream_seed)
+    rng = np.random.default_rng(stream_seed)
     return candidates[rng.integers(0, candidates.shape[0], num_antennas)]
 
 
 def run_single(spec: ScenarioSpec, scheme: str, seed: int,
                entropy=()) -> RunReport:
-    """One seeded solve of one scheme.  ``entropy`` namespaces the streams."""
+    """One seeded solve of one scheme.  ``entropy`` namespaces the streams;
+    the report carries the run seed ``seed``."""
     n = spec.num_antennas
-    w_seed = _child_seed(*entropy, seed, 1)
-    pso_seed = _child_seed(*entropy, seed, 2)
-    init_seed = _child_seed(*entropy, seed, 3)
-    weights0 = random_initial_weights(n, w_seed)
-    config = replace(spec.solver, pso=replace(spec.solver.pso, rng_seed=pso_seed))
-    scenario = spec.scenario
+    weights0 = random_initial_weights(n, child_seed(*entropy, seed, 1))
+    scenario, config = spec.scenario, spec.solver
     if scheme == "RA":
         rotations0 = initial_rotations(seed, scenario.desired_angles_deg,
-                                       spec.pattern, n, stream_seed=init_seed)
-        return solve_ra(scenario, spec.pattern, spec.geometry,
-                        BeamformerState(weights0, rotations0), config, seed=seed)
-    if scheme == "FOA":
-        return solve_foa(scenario, spec.pattern, spec.geometry, weights0,
-                         config, seed=seed)
-    if scheme == "IA":
-        return solve_ia(scenario, spec.geometry, weights0, config, seed=seed)
-    raise ValueError(f"unknown scheme '{scheme}'")
+                                       spec.pattern, n,
+                                       child_seed(*entropy, seed, 3))
+        report = solve_ra(scenario, spec.pattern, spec.geometry,
+                          BeamformerState(weights0, rotations0), config,
+                          seed=child_seed(*entropy, seed, 2))
+    elif scheme == "FOA":
+        report = solve_foa(scenario, spec.pattern, spec.geometry, weights0,
+                           config)
+    elif scheme == "IA":
+        report = solve_ia(scenario, spec.geometry, weights0, config)
+    else:
+        raise ValueError(f"unknown scheme '{scheme}'")
+    return replace(report, seed=int(seed))
 
 
 def _run_single_task(task):

@@ -6,8 +6,8 @@ updated from the bests of the previous iteration, positions are clamped to the
 rotation box, and interference-cap violations are discouraged through a large
 additive penalty on the fitness.
 
-Randomness comes from a counter-based (Philox) generator seeded from the
-config, with a fixed consumption order so runs are bit-reproducible:
+Randomness comes from a counter-based (Philox) generator seeded by the
+caller, with a fixed consumption order so runs are bit-reproducible:
 initialization draws one uniform (S, N) position block, then every iteration
 draws one (S, 2) block (column 0 feeds the individual term, column 1 the
 swarm term; one scalar per term per particle).
@@ -30,7 +30,6 @@ class PsoConfig:
     learn_global: float = 1.4
     penalty_factor: float = 1e6
     delta_threshold: float = 1e-2
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.num_particles < 1:
@@ -146,15 +145,16 @@ def step(swarm: Swarm, iteration: int, weights, scenario, pattern, geometry,
 
 
 def optimize_rotations(weights, initial_best, scenario, pattern, geometry,
-                       config: PsoConfig):
+                       config: PsoConfig, seed: int):
     """Full swarm run; returns ``(rotations_deg, fitness)`` of the global best.
 
     Early-stops once the global best improves by less than the threshold in
     an iteration.  Because the incoming vector is injected as a particle, the
-    returned fitness never falls below its fitness.
+    returned fitness never falls below its fitness.  ``seed`` (an int >= 0)
+    seeds the Philox stream that every draw of the run comes from.
     """
     w = np.asarray(weights, dtype=complex)
-    rng = np.random.Generator(np.random.Philox(config.rng_seed))
+    rng = np.random.Generator(np.random.Philox(seed))
     swarm = init_swarm(initial_best, w, scenario, pattern, geometry, config, rng)
     f_last = -np.inf
     for iteration in range(1, config.max_iterations + 1):

@@ -12,22 +12,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import array_gain, composite_response
-from .convex_core import EpigraphProblem, solve_epigraph
+from .convex_core import MAX_TOLERANCE, EpigraphProblem, solve_epigraph
 
 
 @dataclass
 class ScaConfig:
     delta_threshold: float = 1e-2
     max_iterations: int = 100
-    subproblem_tolerance: float = 1e-6
+    subproblem_tolerance: float = MAX_TOLERANCE
 
     def __post_init__(self):
         if not self.delta_threshold > 0:
             raise ValueError("delta_threshold must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not self.subproblem_tolerance > 0:
-            raise ValueError("subproblem_tolerance must be > 0")
+        if not 0 < self.subproblem_tolerance <= MAX_TOLERANCE:
+            raise ValueError(f"subproblem_tolerance must lie in "
+                             f"(0, {MAX_TOLERANCE:g}]")
 
 
 @dataclass
@@ -67,10 +68,10 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
                          "point stalls the surrogate)")
     rotations = np.asarray(state.rotations_deg, dtype=float)
 
-    V_desired = composite_response(pattern, geometry, rotations,
-                                   scenario.desired_angles_deg)      # (K, N)
-    V_interf = composite_response(pattern, geometry, rotations,
-                                  scenario.interference_angles_deg)  # (L, N)
+    V = composite_response(pattern, geometry, rotations,
+                           scenario.desired_angles_deg
+                           + scenario.interference_angles_deg)    # (K + L, N)
+    V_desired, V_interf = np.split(V, [len(scenario.desired_angles_deg)])
     eta = scenario.eta_max_linear
 
     # convergence is judged on consecutive subproblem optima; a first optimum

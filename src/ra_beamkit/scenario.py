@@ -21,8 +21,7 @@ are rejected.  A key typed ``int`` takes an integer >= 1 and any other
 scalar a finite number: the ``NaN`` and ``Infinity`` literals that Python's
 json module reads are rejected.  Angles lie in [0, 180], the desired and
 interference sets are disjoint, and no scheme or seed is listed twice.
-``seeds`` is a list of ints >= 0 or a count M, meaning 0..M-1.  The swarm's
-``rng_seed`` is derived per run, not read.
+``seeds`` is a list of ints >= 0 or a count M, meaning 0..M-1.
 
 Two resource ceilings bound what a scenario may ask for:
 ``num_antennas`` <= ``MAX_ANTENNAS``, and the sampled pattern,
@@ -165,7 +164,7 @@ def _build(cls, doc, path=""):
     context = f"'{path}'" if path else "scenario"
     if not isinstance(doc, dict):
         raise ScenarioError(f"{context} must be a JSON object")
-    schema = {f.name: f for f in fields(cls) if f.name != "rng_seed"}
+    schema = {f.name: f for f in fields(cls)}
     for key in doc:
         if key not in schema:
             raise ScenarioError(f"unknown key '{key}' in {context}")

@@ -210,9 +210,9 @@ def test_criterion_6e_pso_bounds_and_reproducibility():
     rng = np.random.default_rng(12)
     w = rng.normal(size=10) + 1j * rng.normal(size=10)
     w /= np.linalg.norm(w) * 1.1
-    cfg = PsoConfig(num_particles=80, rng_seed=99)
-    r1, f1 = optimize_rotations(w, np.zeros(10), sc, PAT, geo, cfg)
-    r2, f2 = optimize_rotations(w, np.zeros(10), sc, PAT, geo, cfg)
+    cfg = PsoConfig(num_particles=80)
+    r1, f1 = optimize_rotations(w, np.zeros(10), sc, PAT, geo, cfg, seed=99)
+    r2, f2 = optimize_rotations(w, np.zeros(10), sc, PAT, geo, cfg, seed=99)
     in_bounds = bounds.contains(r1)
     identical = bool(np.array_equal(r1, r2) and f1 == f2)
     spec = spec_for([70.0, 110.0], [20.0], seeds=1)

@@ -79,12 +79,12 @@ class TestStep:
         geo = ArrayGeometry(n)
         sc = Scenario((90.0,), (), -10.0)
         w = steering_vector(geo, 90.0) / np.sqrt(n)
-        cfg = PsoConfig(num_particles=s, rng_seed=0)
+        cfg = PsoConfig(num_particles=s)
         return geo, sc, w, cfg
 
     def test_particle_at_global_best_is_stationary(self):
         geo, sc, w, _ = self._setup()
-        cfg = PsoConfig(num_particles=1, rng_seed=0)
+        cfg = PsoConfig(num_particles=1)
         swarm = init_swarm(np.zeros(2), w, sc, PAT, geo, cfg, ZeroRng())
         out = step(swarm, 1, w, sc, PAT, geo, cfg, ZeroRng())
         np.testing.assert_array_equal(out.positions, swarm.positions)
@@ -94,12 +94,11 @@ class TestStep:
         geo, sc, w, cfg = self._setup(s=1)
         bounds = rotation_bounds(PAT)
         swarm = init_swarm(np.full(2, bounds.theta_max_deg - 1.0), w, sc, PAT,
-                           geo, PsoConfig(num_particles=1, rng_seed=0),
-                           ZeroRng())
+                           geo, PsoConfig(num_particles=1), ZeroRng())
         swarm.velocities[:] = 50.0          # forces an out-of-box proposal
         swarm.local_best_positions[:] = bounds.theta_max_deg - 1.0
         out = step(swarm, 1, w, sc, PAT, geo,
-                   PsoConfig(num_particles=1, rng_seed=0), ZeroRng())
+                   PsoConfig(num_particles=1), ZeroRng())
         np.testing.assert_array_equal(out.positions,
                                       np.full((1, 2), bounds.theta_max_deg))
 
@@ -111,9 +110,8 @@ class TestStep:
                       tuple(trace["scenario"]["interference_angles_deg"]),
                       trace["scenario"]["eta_max_db"])
         w = np.array([re + 1j * im for re, im in trace["weights"]])
-        cfg = PsoConfig(num_particles=trace["config"]["num_particles"],
-                        rng_seed=trace["config"]["rng_seed"])
-        rng = np.random.Generator(np.random.Philox(cfg.rng_seed))
+        cfg = PsoConfig(num_particles=trace["config"]["num_particles"])
+        rng = np.random.Generator(np.random.Philox(trace["config"]["rng_seed"]))
         swarm = init_swarm(np.asarray(trace["initial_best"]), w, sc, PAT, geo,
                            cfg, rng)
         np.testing.assert_allclose(swarm.positions, trace["init"]["positions"],
@@ -136,8 +134,9 @@ class TestOptimizeRotations:
         sc = Scenario((90.0,), (), -10.0)
         w = steering_vector(geo, 90.0) / np.sqrt(4)
         cfg = PsoConfig(num_particles=300, max_iterations=300,
-                        delta_threshold=1e-6, rng_seed=0)
-        rot, fit = optimize_rotations(w, np.full(4, 40.0), sc, PAT, geo, cfg)
+                        delta_threshold=1e-6)
+        rot, fit = optimize_rotations(w, np.full(4, 40.0), sc, PAT, geo, cfg,
+                                      seed=0)
         full = 4 * 10 ** 0.8
         assert fit >= 0.98 * full
         assert np.abs(rot).max() < 15.0     # rotations near the aligned optimum
@@ -149,9 +148,9 @@ class TestOptimizeRotations:
         sc = Scenario((100.0,), (), -10.0)
         w = steering_vector(geo, 100.0) / np.sqrt(3)
         cfg = PsoConfig(num_particles=1, learn_local=1e-300,
-                        learn_global=1e-300, rng_seed=0)
+                        learn_global=1e-300)
         start = np.array([3.0, 17.0, -5.0])
-        rot, fit = optimize_rotations(w, start, sc, PAT, geo, cfg)
+        rot, fit = optimize_rotations(w, start, sc, PAT, geo, cfg, seed=0)
         np.testing.assert_array_equal(rot, start)
         assert fit == pytest.approx(fitness(start, w, sc, PAT, geo, 1e6))
 
@@ -163,15 +162,15 @@ class TestOptimizeRotations:
         w /= np.linalg.norm(w) * 1.2
         start = np.zeros(6)
         rot, fit = optimize_rotations(w, start, sc, PAT, geo,
-                                      PsoConfig(num_particles=50, rng_seed=3))
+                                      PsoConfig(num_particles=50), seed=3)
         assert fit >= fitness(start, w, sc, PAT, geo, 1e6)
 
     def test_positions_within_bounds(self):
         geo = ArrayGeometry(5)
         sc = Scenario((60.0,), (150.0,), -10.0)
         w = steering_vector(geo, 60.0) / np.sqrt(5)
-        cfg = PsoConfig(num_particles=30, max_iterations=40, rng_seed=11)
-        rot, _ = optimize_rotations(w, np.zeros(5), sc, PAT, geo, cfg)
+        cfg = PsoConfig(num_particles=30, max_iterations=40)
+        rot, _ = optimize_rotations(w, np.zeros(5), sc, PAT, geo, cfg, seed=11)
         assert rotation_bounds(PAT).contains(rot)
 
     def test_bit_reproducibility(self):
@@ -180,9 +179,9 @@ class TestOptimizeRotations:
         rng = np.random.default_rng(23)
         w = rng.normal(size=7) + 1j * rng.normal(size=7)
         w /= np.linalg.norm(w) * 1.1
-        cfg = PsoConfig(num_particles=60, rng_seed=77)
-        r1, f1 = optimize_rotations(w, np.zeros(7), sc, PAT, geo, cfg)
-        r2, f2 = optimize_rotations(w, np.zeros(7), sc, PAT, geo, cfg)
+        cfg = PsoConfig(num_particles=60)
+        r1, f1 = optimize_rotations(w, np.zeros(7), sc, PAT, geo, cfg, seed=77)
+        r2, f2 = optimize_rotations(w, np.zeros(7), sc, PAT, geo, cfg, seed=77)
         np.testing.assert_array_equal(r1, r2)
         assert f1 == f2
 
@@ -193,7 +192,7 @@ class TestOptimizeRotations:
         w = rng.normal(size=10) + 1j * rng.normal(size=10)
         w /= np.linalg.norm(w) * 1.05
         rot, fit = optimize_rotations(w, np.zeros(10), sc, PAT, geo,
-                                      PsoConfig(num_particles=80, rng_seed=5))
+                                      PsoConfig(num_particles=80), seed=5)
         if fit > 0:
             for ang in sc.interference_angles_deg:
                 assert array_gain(w, PAT, geo, rot, ang) <= 0.1 + 1e-10

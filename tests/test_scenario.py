@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ra_beamkit.array_model import rotation_bounds
-from ra_beamkit.experiments import run_single
+from ra_beamkit.ao import AoConfig
+from ra_beamkit.array_model import RadiationPattern, rotation_bounds
+from ra_beamkit.experiments import report_to_dict, run_single
+from ra_beamkit.pso import PsoConfig
+from ra_beamkit.sca import ScaConfig
 from ra_beamkit.scenario import (MAX_ANTENNAS, MAX_PATTERN_SIZE, ScenarioError,
                                  ScenarioSpec, load_scenario, override_spec,
                                  parse_scenario)
@@ -83,9 +86,31 @@ def test_partial_pattern_override():
     assert spec.pattern.beamwidth_3db_deg == 65.0
 
 
-def test_invalid_pattern_value():
-    with pytest.raises(ScenarioError, match="pattern"):
-        parse_scenario({**MINIMAL, "pattern": {"max_gain_dbi": -2.0}})
+CONFIG_CLASSES = {"pattern": RadiationPattern, "solver": AoConfig,
+                  "solver.sca": ScaConfig, "solver.pso": PsoConfig}
+
+
+@pytest.mark.parametrize("path,key,value", [
+    ("pattern", "max_gain_dbi", -2.0),
+    ("solver", "delta_threshold", 0.0),
+    ("solver", "max_outer_iterations", 0),
+    ("solver.sca", "delta_threshold", 0.0),
+    ("solver.sca", "max_iterations", 0),
+    ("solver.sca", "subproblem_tolerance", 0.0),
+    ("solver.sca", "subproblem_tolerance", 1e-3),   # looser than certified
+    ("solver.pso", "max_iterations", 0),
+    ("solver.pso", "penalty_factor", 0.0),
+])
+def test_invalid_pattern_value(path, key, value):
+    # the dataclass rejects the value, and a scenario file holding it is a
+    # schema error naming the object
+    with pytest.raises(ValueError):
+        CONFIG_CLASSES[path](**{key: value})
+    doc = {key: value}
+    for part in reversed(path.split(".")):
+        doc = {part: doc}
+    with pytest.raises(ScenarioError, match=f"'{path}'"):
+        parse_scenario({**MINIMAL, **doc})
 
 
 def test_solver_overrides():
@@ -212,9 +237,30 @@ def test_readme_scenario_block_shows_the_defaults():
     def keys(d):
         return {k: keys(v) if isinstance(v, dict) else None for k, v in d.items()}
 
-    schema = asdict(defaults)
-    del schema["solver"]["pso"]["rng_seed"]     # derived per run, not read
-    assert keys(doc) == keys(schema)
+    assert keys(doc) == keys(asdict(defaults))
+
+
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Library example", 1)[1]
+    code = block.split("```python", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    report = namespace["report"]
+    assert (report.scheme, report.seed) == ("RA", 1)
+    assert report.max_interference_gain <= 0.1 + 1e-8
+    assert capsys.readouterr().out.split() == [
+        repr(report.min_desired_gain), repr(report.max_interference_gain)]
+
+
+def test_report_config_block_parses_back():
+    # a report's config echo, used as a scenario's solver, is that solver
+    spec = parse_scenario({**MINIMAL, "num_antennas": 4, "solver": {
+        **SMALL_SOLVER, "sca": {"subproblem_tolerance": 1e-7}}})
+    report = json.loads(json.dumps(report_to_dict(run_single(spec, "RA", 1),
+                                                  spec)))
+    assert parse_scenario({**MINIMAL, "solver": report["config"]}).solver \
+        == spec.solver
 
 
 SMALL_SOLVER = {"max_outer_iterations": 3, "sca": {"max_iterations": 8},
