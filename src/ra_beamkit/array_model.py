@@ -103,6 +103,9 @@ class BeamformerState:
             raise ValueError("rotation outside the allowed range")
 
 
+MAX_ETA_DB = 80.0    # |eta_max_db| limit: by -90 dB some solves go uncertified
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Desired/interference direction sets and the interference gain cap."""
@@ -123,6 +126,9 @@ class Scenario:
                 raise ValueError(f"angle {a} outside [0, 180] degrees")
         if set(self.desired_angles_deg) & set(self.interference_angles_deg):
             raise ValueError("desired and interference angle sets overlap")
+        if not -MAX_ETA_DB <= self.eta_max_db <= MAX_ETA_DB:
+            raise ValueError(f"eta_max_db must lie in [-{MAX_ETA_DB:g}, "
+                             f"{MAX_ETA_DB:g}] dB")
 
     @property
     def eta_max_linear(self) -> float:

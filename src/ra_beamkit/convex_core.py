@@ -34,7 +34,7 @@ previous SCA optimum lies next to the active caps and costs more steps.
 
 At a centring parameter mu the barrier bound gives optimum - t <= m/mu, with m
 the constraint count.  The mu schedule grows by a fixed factor and ends exactly
-at mu_final = m/gap_target, so the certified gap is the requested one, not an
+at mu_final = m/GAP_TARGET, so the certified gap is GAP_TARGET (1e-6), not an
 overshoot of it.  mu_final carries a 1% margin: at an inexact centre the dual
 point recovered from the returned (w, t) certifies slightly more than m/mu
 (under 4e-6 relative once its multipliers make w stationary).  Only the final
@@ -50,21 +50,18 @@ difference carries rounding larger than the decrease being tested.  The
 barrier is self-concordant, so backtracking accepts the full step once the
 Newton decrement is at most (1 - 2*armijo)/4 (Boyd & Vandenberghe 2004,
 section 9.6.4); such steps skip the boundary root and the search.
-
-A gap target below about 1e-8 asks for more than float64 can centre: such
-solves may end with status "max_iterations".
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-MAX_TOLERANCE = 1e-6         # loosest gap certified; looser requests get this
+GAP_TARGET = 1e-6            # absolute optimality gap every solve certifies
 _NEWTON_TOL = 1e-11          # squared Newton decrement / 2, final stage
 _STAGE_TOL = 1e-3            # the same, stages before the final one
 _MAX_NEWTON_PER_STAGE = 80
 _MU_FACTOR = 50.0
-_GAP_MARGIN = 1.01           # mu_final = margin * m / gap_target
+_GAP_MARGIN = 1.01           # mu_final = margin * m / GAP_TARGET
 _TO_BOUNDARY = 0.99          # first trial step: this fraction of the way
 _ARMIJO = 0.01
 _MAX_HALVINGS = 60
@@ -115,16 +112,12 @@ class ConvexSolution:
     status: str               # "optimal" | "max_iterations"
 
 
-def solve_epigraph(problem: EpigraphProblem,
-                   tolerance: float = MAX_TOLERANCE) -> ConvexSolution:
-    """Solve the epigraph subproblem to the requested absolute accuracy.
+def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
+    """Solve the epigraph subproblem to the absolute accuracy ``GAP_TARGET``.
 
     The returned weights are strictly feasible and the objective is a
-    certified lower bound on the optimum within ``tolerance`` (and within
-    ``MAX_TOLERANCE``, whichever is tighter).
+    certified lower bound on the optimum within ``GAP_TARGET``.
     """
-    if not tolerance > 0:
-        raise ValueError("tolerance must be > 0")
     C, V, b = problem.linear_terms, problem.quad_vectors, problem.offsets
     Q = np.linalg.qr(np.concatenate([C, V]).T)[0]        # (N, r)
     S = _slack_form(C @ Q.conj(), V @ Q.conj(), problem)
@@ -133,7 +126,7 @@ def solve_epigraph(problem: EpigraphProblem,
     zh = np.zeros(2 * r + 2)                             # y = 0, then t, 1
     zh[-2:] = -b.max() - max(1.0, 0.05 * (np.abs(b).max() + 1.0)), 1.0
 
-    mu_final = _GAP_MARGIN * len(S) / min(tolerance, MAX_TOLERANCE)
+    mu_final = _GAP_MARGIN * len(S) / GAP_TARGET
     mu, status = 1.0, "max_iterations"
     while _center(zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL, S):
         if mu == mu_final:

@@ -9,7 +9,7 @@ weight-only baselines ignore the rotation start.
 
 Monte Carlo repetitions and sweep cells can run in a process pool; results
 are aggregated in task order, so outputs are identical however many workers
-are used.  ``RA_BEAMKIT_THREADS`` caps the worker count.
+are used.  ``RA_BEAMKIT_THREADS`` sets the worker count (see ``worker_count``).
 """
 
 import json
@@ -24,7 +24,7 @@ from .ao import (RunReport, child_seed, random_initial_weights, solve_foa,
                  solve_ia, solve_ra)
 from .array_model import (BeamformerState, array_gain, full_array_gain,
                           rotation_bounds)
-from .scenario import (VALID_SCHEMES, ScenarioError, ScenarioSpec,
+from .scenario import (MAX_TASKS, VALID_SCHEMES, ScenarioError, ScenarioSpec,
                        _number_list, _replace_field)
 
 DB_FLOOR = -300.0
@@ -79,15 +79,15 @@ def _run_single_task(task):
 
 
 def worker_count() -> int:
-    """``RA_BEAMKIT_THREADS`` if set (an integer; below 1 means 1), else the
-    number of CPUs this process may run on, up to 4."""
+    """``RA_BEAMKIT_THREADS`` if set (an integer; below 1 means 1), else 4,
+    and never more than the number of CPUs this process may run on."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") \
+        else os.cpu_count() or 1            # the mask is not on every platform
     env = os.environ.get("RA_BEAMKIT_THREADS")
     if env is None:
-        if hasattr(os, "sched_getaffinity"):    # not on every platform
-            return min(len(os.sched_getaffinity(0)), 4)
-        return min(os.cpu_count() or 1, 4)
+        return min(cpus, 4)
     try:
-        return max(1, int(env))
+        return min(max(1, int(env)), cpus)
     except ValueError:
         raise ScenarioError(
             f"RA_BEAMKIT_THREADS must be an integer, got {env!r}") from None
@@ -101,11 +101,8 @@ def _pool_map(fn, tasks, workers):
 
 
 def best_report(reports) -> RunReport:
-    best = reports[0]
-    for rep in reports[1:]:
-        if rep.min_desired_gain > best.min_desired_gain:
-            best = rep
-    return best
+    """The report with the largest min desired gain; the first on a tie."""
+    return max(reports, key=lambda r: r.min_desired_gain)
 
 
 # ---------------------------------------------------------------------------
@@ -482,15 +479,18 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
     base spec) are reused across sweep values so cells are paired.  The CSV
     reports the mean of per-scenario dB gains and each scheme's shortfall
     against the rotating scheme.  Returns ``{value: {scheme: mean_db}}``.
-    Each value gets the checks of the scenario file key it replaces, and no
-    value may repeat; the messages name ``--values`` and ``--scenarios``,
-    the CLI flags that carry them.
+    Each value gets the checks of the scenario file key it replaces, no value
+    may repeat, and at most ``MAX_TASKS`` cells are queued; the messages name
+    ``--values`` and ``--scenarios``, the CLI flags that carry them.
     """
     if field_name not in SWEEP_FIELDS:
         raise ScenarioError(
             f"sweep field must be one of {', '.join(SWEEP_FIELDS)}")
     if num_scenarios < 1:
         raise ScenarioError("--scenarios (sweep scenarios) must be >= 1")
+    if len(values) * num_scenarios > MAX_TASKS:
+        raise ScenarioError(f"--scenarios times the number of --values must "
+                            f"be <= {MAX_TASKS}")
     swept = [_replace_field(spec, field_name, value, "--values")
              for value in values]
     if len(set(values)) < len(values):   # -5 and -5.0 are one value

@@ -19,16 +19,18 @@ import numpy as np
 
 from .array_model import array_gain, rotation_bounds
 
+# constants of the method; the inertia decays linearly over the iterations
+_INERTIA_INITIAL = 0.9
+_INERTIA_FINAL = 0.2
+_LEARN_LOCAL = 1.4
+_LEARN_GLOBAL = 1.4
+_PENALTY = 1e6               # weight on the summed cap violations
+
 
 @dataclass
 class PsoConfig:
     num_particles: int = 200
     max_iterations: int = 100
-    inertia_initial: float = 0.9
-    inertia_final: float = 0.2
-    learn_local: float = 1.4
-    learn_global: float = 1.4
-    penalty_factor: float = 1e6
     delta_threshold: float = 1e-2
 
     def __post_init__(self):
@@ -36,12 +38,6 @@ class PsoConfig:
             raise ValueError("num_particles must be >= 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not (self.inertia_initial >= self.inertia_final > 0):
-            raise ValueError("need inertia_initial >= inertia_final > 0")
-        if not (self.learn_local > 0 and self.learn_global > 0):
-            raise ValueError("learning factors must be > 0")
-        if not self.penalty_factor > 0:
-            raise ValueError("penalty_factor must be > 0")
 
 
 @dataclass
@@ -54,7 +50,7 @@ class Swarm:
     global_best_fitness: float
 
 
-def _batch_fitness(positions, weights, scenario, pattern, geometry, penalty_factor):
+def _batch_fitness(positions, weights, scenario, pattern, geometry):
     """Penalized min-desired-gain fitness for a stack of rotation vectors."""
     k = len(scenario.desired_angles_deg)
     gains = array_gain(weights, pattern, geometry, positions,
@@ -63,20 +59,19 @@ def _batch_fitness(positions, weights, scenario, pattern, geometry, penalty_fact
     interf = gains[k:]
     penalty = np.sum(np.where(interf > scenario.eta_max_linear, interf, 0.0),
                      axis=0)
-    return np.min(gains[:k], axis=0) - penalty_factor * penalty
+    return np.min(gains[:k], axis=0) - _PENALTY * penalty
 
 
-def fitness(rotations_deg, weights, scenario, pattern, geometry,
-            penalty_factor) -> float:
+def fitness(rotations_deg, weights, scenario, pattern, geometry) -> float:
     """Min desired gain minus the penalty over cap-violating interference gains."""
     rotations = np.asarray(rotations_deg, dtype=float)
     return float(_batch_fitness(rotations[None, :], np.asarray(weights, complex),
-                                scenario, pattern, geometry, penalty_factor)[0])
+                                scenario, pattern, geometry)[0])
 
 
 def update_inertia(iteration: int, config: PsoConfig) -> float:
     """Linearly decayed inertia weight at the given iteration index."""
-    return config.inertia_initial - (config.inertia_initial - config.inertia_final) \
+    return _INERTIA_INITIAL - (_INERTIA_INITIAL - _INERTIA_FINAL) \
         * iteration / config.max_iterations
 
 
@@ -88,8 +83,7 @@ def init_swarm(initial_best, weights, scenario, pattern, geometry,
     positions = rng.uniform(bounds.theta_min_deg, bounds.theta_max_deg,
                             (config.num_particles, n))
     positions[0] = bounds.clip(initial_best)
-    fit = _batch_fitness(positions, weights, scenario, pattern, geometry,
-                         config.penalty_factor)
+    fit = _batch_fitness(positions, weights, scenario, pattern, geometry)
     best = int(np.argmax(fit))
     return Swarm(positions=positions,
                  velocities=np.zeros_like(positions),
@@ -113,16 +107,15 @@ def step(swarm: Swarm, iteration: int, weights, scenario, pattern, geometry,
     inertia = update_inertia(iteration, config)
 
     velocities = (inertia * swarm.velocities
-                  + config.learn_local * draws[:, 0:1]
+                  + _LEARN_LOCAL * draws[:, 0:1]
                   * (swarm.local_best_positions - swarm.positions)
-                  + config.learn_global * draws[:, 1:2]
+                  + _LEARN_GLOBAL * draws[:, 1:2]
                   * (swarm.global_best_position[None, :] - swarm.positions))
     span = bounds.span_deg
     np.clip(velocities, -span, span, out=velocities)
     positions = bounds.clip(swarm.positions + velocities)
 
-    fit = _batch_fitness(positions, weights, scenario, pattern, geometry,
-                         config.penalty_factor)
+    fit = _batch_fitness(positions, weights, scenario, pattern, geometry)
     improved = fit > swarm.local_best_fitness
     local_best_positions = np.where(improved[:, None], positions,
                                     swarm.local_best_positions)

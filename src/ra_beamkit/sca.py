@@ -4,7 +4,7 @@ With rotations held fixed, the worst-direction array gain is maximized by
 repeatedly replacing each desired-direction gain |v_k^H w|^2 with its affine
 minorant around the current iterate and solving the resulting convex epigraph
 problem.  The minorant is tight at the expansion point, so the true objective
-never decreases across iterations (up to the subproblem tolerance).
+never decreases across iterations (up to the certified gap ``GAP_TARGET``).
 """
 
 from dataclasses import dataclass
@@ -12,23 +12,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .array_model import array_gain, composite_response
-from .convex_core import MAX_TOLERANCE, EpigraphProblem, solve_epigraph
+from .convex_core import EpigraphProblem, solve_epigraph
 
 
 @dataclass
 class ScaConfig:
     delta_threshold: float = 1e-2
     max_iterations: int = 100
-    subproblem_tolerance: float = MAX_TOLERANCE
 
     def __post_init__(self):
         if not self.delta_threshold > 0:
             raise ValueError("delta_threshold must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if not 0 < self.subproblem_tolerance <= MAX_TOLERANCE:
-            raise ValueError(f"subproblem_tolerance must lie in "
-                             f"(0, {MAX_TOLERANCE:g}]")
 
 
 @dataclass
@@ -85,7 +81,7 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
         inner = V_desired.conj() @ w            # v_k^H w
         problem = EpigraphProblem(V_desired * inner[:, None], np.abs(inner) ** 2,
                                   V_interf, quad_cap=eta, ball_radius=1.0)
-        sol = solve_epigraph(problem, tolerance=config.subproblem_tolerance)
+        sol = solve_epigraph(problem)
         nonoptimal += sol.status != "optimal"
         w = sol.weights
         history.append(sol.objective)

@@ -9,10 +9,8 @@ Scenario files are JSON documents whose keys are the fields of
     pattern: {max_gain_dbi, beamwidth_3db_deg, sidelobe_limit_db,
               front_to_back_db},
     solver: {delta_threshold, max_outer_iterations,
-             sca: {delta_threshold, max_iterations, subproblem_tolerance},
-             pso: {num_particles, max_iterations, inertia_initial,
-                   inertia_final, learn_local, learn_global,
-                   penalty_factor, delta_threshold}}
+             sca: {delta_threshold, max_iterations},
+             pso: {num_particles, max_iterations, delta_threshold}}
 
 The nested objects are the fields of ``RadiationPattern``, ``AoConfig``,
 ``ScaConfig`` and ``PsoConfig``.  The dataclasses hold the defaults, which
@@ -20,15 +18,16 @@ the README lists; an absent key takes its default, and unknown keys anywhere
 are rejected.  A key typed ``int`` takes an integer >= 1 and any other
 scalar a finite number: the ``NaN`` and ``Infinity`` literals that Python's
 json module reads are rejected.  Angles lie in [0, 180], the desired and
-interference sets are disjoint, and no scheme or seed is listed twice.
-``seeds`` is a list of ints >= 0 or a count M, meaning 0..M-1.
+interference sets are disjoint, ``eta_max_db`` lies in [-80, 80], and no
+scheme or seed is listed twice.  ``seeds`` is a list of ints >= 0 or a count
+M, meaning 0..M-1.
 
-Two resource ceilings bound what a scenario may ask for:
-``num_antennas`` <= ``MAX_ANTENNAS``, and the sampled pattern,
+Three resource ceilings bound what a scenario may ask for:
+``num_antennas`` <= ``MAX_ANTENNAS``; the sampled pattern,
 (round(180 / pattern_sample_step_deg) + 1) rows times ``num_antennas``,
-<= ``MAX_PATTERN_SIZE`` entries.  Patterns are sampled and written in blocks
-of bounded size, so the second ceiling bounds a pattern's output size and
-the time to write it, not its memory.
+<= ``MAX_PATTERN_SIZE`` entries; and at most ``MAX_TASKS`` seeds.  Patterns
+are sampled and written in blocks of bounded size, so the second ceiling
+bounds a pattern's output size and the time to write it, not its memory.
 """
 
 import json
@@ -41,6 +40,7 @@ from .array_model import ArrayGeometry, RadiationPattern, Scenario
 VALID_SCHEMES = ("RA", "FOA", "IA")
 MAX_ANTENNAS = 1024
 MAX_PATTERN_SIZE = 2 ** 24     # about 1 GB of CSV at N = 1
+MAX_TASKS = 2 ** 16            # seeds of a run, cells of a sweep
 
 
 class ScenarioError(ValueError):
@@ -128,12 +128,17 @@ def _schemes(value, key, context):
 
 
 def _seeds(value, key, context):
+    too_many = f"key '{key}' in {context} must hold at most {MAX_TASKS} seeds"
     if isinstance(value, int) and not isinstance(value, bool):
         if value < 1:
             raise ScenarioError(f"key '{key}' in {context}: a count must be >= 1")
+        if value > MAX_TASKS:       # checked before the range is expanded
+            raise ScenarioError(too_many)
         return tuple(range(value))
     if isinstance(value, list) and value and \
             all(type(s) is int and s >= 0 for s in value):
+        if len(value) > MAX_TASKS:
+            raise ScenarioError(too_many)
         if len(set(value)) < len(value):
             raise ScenarioError(f"key '{key}' in {context} repeats a seed")
         return tuple(value)
@@ -181,12 +186,13 @@ def _build(cls, doc, path=""):
 
 
 def _check_spec(spec, context="scenario"):
-    """The checks that span keys: the angle sets and the resource ceilings."""
+    """The ``Scenario`` checks (angle sets and cap) and the resource ceilings."""
     try:
         spec.scenario
     except ValueError as exc:
-        raise ScenarioError(f"key 'desired_angles_deg'/'interference_angles_deg' "
-                            f"in {context}: {exc}") from exc
+        keys = ("'eta_max_db'" if str(exc).startswith("eta_max_db")
+                else "'desired_angles_deg'/'interference_angles_deg'")
+        raise ScenarioError(f"key {keys} in {context}: {exc}") from exc
     if spec.num_antennas > MAX_ANTENNAS:
         raise ScenarioError(f"key 'num_antennas' in {context} must be "
                             f"<= {MAX_ANTENNAS}")

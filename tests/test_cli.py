@@ -12,6 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, array_gain)
 from ra_beamkit import experiments
+from ra_beamkit import scenario as scenario_mod
 from ra_beamkit.cli import main
 from ra_beamkit.experiments import (gain_to_db, load_report_state,
                                     sample_gain_pattern, write_pattern_csv)
@@ -293,12 +294,15 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     (["sweep", "--field", "eta_max_db", "--values=-5,-5,-5.0"], "--values"),
     (["sweep", "--field", "eta_max_db", "--values", "-5", "--scenarios", "0"],
      "--scenarios"),
+    (["sweep", "--field", "eta_max_db", "--values", "4000"], "--values"),
+    (["sweep", "--field", "eta_max_db", "--values", "-150"], "--values"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # before: --step inf and --values inf exited 0, 4.7 solved N = 4,
     # nan, 0 and -1 exited 2 from the solver, --base-seed -1 exited 2 and
     # --schemes foa,FOA solved and wrote every seed twice; --values -5,-5,-5.0
-    # solved each copy and wrote the last one's cells three times
+    # solved each copy and wrote the last one's cells three times; eta caps
+    # of 4000 and -150 dB exited 2 from the solver
     scenario = write_scenario(tmp_path)
     state = tmp_path / "report.json"
     state.write_text(json.dumps({"scheme": "FOA", "final_state": {
@@ -429,6 +433,21 @@ def test_state_with_non_utf8_bytes_exits_1(tmp_path, capsys):
     assert "--state" in capsys.readouterr().err
 
 
+def test_task_ceiling_checked_before_anything_is_queued(tmp_path, capsys,
+                                                      monkeypatch):
+    # MAX_TASKS lowered so that no large count is ever asked for
+    monkeypatch.setattr(scenario_mod, "MAX_TASKS", 4)
+    monkeypatch.setattr(experiments, "MAX_TASKS", 4)
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "o"
+    assert main(["run", scenario, "--seed-count", "5", "--out", str(out)]) == 1
+    assert "'seeds' in --seed-count" in capsys.readouterr().err
+    assert main(["sweep", scenario, "--field", "num_antennas", "--values",
+                 "4,6", "--scenarios", "3", "--out", str(out)]) == 1
+    assert "--scenarios" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_minimal_state_is_accepted(tmp_path, capsys):
     scenario = write_scenario(tmp_path)
     state = _write_report(tmp_path, json.dumps({"scheme": "IA",
@@ -456,6 +475,8 @@ def test_bad_thread_count_exits_1(tmp_path, capsys, monkeypatch, command,
 @pytest.mark.parametrize("value,expected", [("3", 3), ("1", 1), ("0", 1),
                                             ("-2", 1)])
 def test_thread_count_is_clamped_to_one(monkeypatch, value, expected):
+    monkeypatch.setattr(experiments.os, "sched_getaffinity",
+                        lambda pid: {0, 1, 2}, raising=False)
     monkeypatch.setenv("RA_BEAMKIT_THREADS", value)
     assert experiments.worker_count() == expected
 
@@ -466,7 +487,12 @@ def test_worker_count_follows_the_cpus_this_process_may_use(monkeypatch):
     monkeypatch.setattr(experiments.os, "sched_getaffinity",
                         lambda pid: {0, 1, 2}, raising=False)
     assert experiments.worker_count() == 3
+    # a larger request starts no more workers than there are CPUs
+    monkeypatch.setenv("RA_BEAMKIT_THREADS", "100000")
+    assert experiments.worker_count() == 3
     monkeypatch.delattr(experiments.os, "sched_getaffinity", raising=False)
+    assert experiments.worker_count() == 64
+    monkeypatch.delenv("RA_BEAMKIT_THREADS")
     assert experiments.worker_count() == 4
 
 

@@ -34,11 +34,7 @@ class TestInertia:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            PsoConfig(inertia_initial=0.1, inertia_final=0.2)
-        with pytest.raises(ValueError):
             PsoConfig(num_particles=0)
-        with pytest.raises(ValueError):
-            PsoConfig(learn_local=0.0)
 
 
 class TestFitness:
@@ -49,7 +45,7 @@ class TestFitness:
         rot = np.zeros(6)
         expected = min(array_gain(w, PAT, geo, rot, a)
                        for a in sc.desired_angles_deg)
-        assert fitness(rot, w, sc, PAT, geo, 1e6) == pytest.approx(
+        assert fitness(rot, w, sc, PAT, geo) == pytest.approx(
             expected, rel=1e-12)
 
     def test_feasible_interference_unpenalized(self):
@@ -59,7 +55,7 @@ class TestFitness:
         w = steering_vector(geo, 90.0) / np.sqrt(6) * 0.1
         rot = np.zeros(6)
         assert array_gain(w, PAT, geo, rot, 5.0) <= 0.1
-        assert fitness(rot, w, sc, PAT, geo, 1e6) == pytest.approx(
+        assert fitness(rot, w, sc, PAT, geo) == pytest.approx(
             array_gain(w, PAT, geo, rot, 90.0), rel=1e-12)
 
     def test_violation_penalized_by_tau_times_gain(self):
@@ -70,7 +66,7 @@ class TestFitness:
         g_des = array_gain(w, PAT, geo, rot, 90.0)
         g_int = array_gain(w, PAT, geo, rot, 91.0)
         assert g_int > 0.1
-        assert fitness(rot, w, sc, PAT, geo, 1e6) == pytest.approx(
+        assert fitness(rot, w, sc, PAT, geo) == pytest.approx(
             g_des - 1e6 * g_int, rel=1e-12)
 
 
@@ -143,16 +139,16 @@ class TestOptimizeRotations:
         assert rotation_bounds(PAT).contains(rot)
 
     def test_degenerate_single_particle_is_stationary(self):
-        # one particle, vanishing learning terms, zero initial velocity
+        # one particle is its own local and global best, so with zero initial
+        # velocity both learning terms vanish and it never moves
         geo = ArrayGeometry(3)
         sc = Scenario((100.0,), (), -10.0)
         w = steering_vector(geo, 100.0) / np.sqrt(3)
-        cfg = PsoConfig(num_particles=1, learn_local=1e-300,
-                        learn_global=1e-300)
+        cfg = PsoConfig(num_particles=1)
         start = np.array([3.0, 17.0, -5.0])
         rot, fit = optimize_rotations(w, start, sc, PAT, geo, cfg, seed=0)
         np.testing.assert_array_equal(rot, start)
-        assert fit == pytest.approx(fitness(start, w, sc, PAT, geo, 1e6))
+        assert fit == pytest.approx(fitness(start, w, sc, PAT, geo))
 
     def test_elitism_never_regresses(self):
         geo = ArrayGeometry(6)
@@ -163,7 +159,7 @@ class TestOptimizeRotations:
         start = np.zeros(6)
         rot, fit = optimize_rotations(w, start, sc, PAT, geo,
                                       PsoConfig(num_particles=50), seed=3)
-        assert fit >= fitness(start, w, sc, PAT, geo, 1e6)
+        assert fit >= fitness(start, w, sc, PAT, geo)
 
     def test_positions_within_bounds(self):
         geo = ArrayGeometry(5)
