@@ -10,6 +10,7 @@ point every element's boresight at the signal, clamped to the rotation range.
 """
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,12 +25,10 @@ from .sca import (ScaConfig, max_interference_gain, min_desired_gain,
 class AoConfig:
     sca: ScaConfig = field(default_factory=ScaConfig)
     pso: PsoConfig = field(default_factory=PsoConfig)
-    delta_threshold: float = 1e-2
     max_outer_iterations: int = 50
+    delta_threshold: ClassVar[float] = 1e-2    # stop tolerance of the method
 
     def __post_init__(self):
-        if not self.delta_threshold > 0:
-            raise ValueError("delta_threshold must be > 0")
         if self.max_outer_iterations < 1:
             raise ValueError("max_outer_iterations must be >= 1")
 

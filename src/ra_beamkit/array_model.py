@@ -20,9 +20,13 @@ unless the name says dB.  Every function here is pure and safe to call
 concurrently.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
+
+MAX_GAIN_DBI = 20.0            # from 22 dBi some N = 64 solves go uncertified
+MAX_ETA_DB = 80.0              # |eta_max_db|; by -90 dB some go uncertified
+MAX_SPACING_WAVELENGTHS = 1e6  # steering phase good to ~1e-6 rad at N = 1024
 
 
 @dataclass(frozen=True)
@@ -35,10 +39,11 @@ class RadiationPattern:
     front_to_back_db: float = 30.0
 
     def __post_init__(self):
-        for name in ("max_gain_dbi", "beamwidth_3db_deg",
-                     "sidelobe_limit_db", "front_to_back_db"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be strictly positive")
+        for f in fields(self):
+            if not getattr(self, f.name) > 0:
+                raise ValueError(f"{f.name} must be strictly positive")
+        if self.max_gain_dbi > MAX_GAIN_DBI:
+            raise ValueError(f"max_gain_dbi must be <= {MAX_GAIN_DBI:g}")
 
 
 @dataclass(frozen=True)
@@ -51,8 +56,9 @@ class ArrayGeometry:
     def __post_init__(self):
         if self.num_antennas < 1:
             raise ValueError("num_antennas must be >= 1")
-        if not self.spacing_wavelengths > 0:
-            raise ValueError("spacing_wavelengths must be > 0")
+        if not 0 < self.spacing_wavelengths <= MAX_SPACING_WAVELENGTHS:
+            raise ValueError(f"spacing_wavelengths must lie in (0, "
+                             f"{MAX_SPACING_WAVELENGTHS:g}]")
 
 
 @dataclass(frozen=True)
@@ -101,9 +107,6 @@ class BeamformerState:
             raise ValueError("weight norm exceeds 1")
         if bounds is not None and not bounds.contains(self.rotations_deg, atol):
             raise ValueError("rotation outside the allowed range")
-
-
-MAX_ETA_DB = 80.0    # |eta_max_db| limit: by -90 dB some solves go uncertified
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = load_scenario(args.scenario)
-    schemes = args.schemes.split(",") if args.schemes else None
+    schemes = None if args.schemes is None else args.schemes.split(",")
     spec = override_spec(spec, schemes=schemes, seed_count=args.seed_count)
     experiments.run_scenario(spec, args.out)
     return EXIT_OK

@@ -5,7 +5,7 @@ Solves, over complex weights w and a scalar t:
     maximize   t
     s.t.       2 Re{c_k^H w} - b_k >= t      (affine lower bounds, k = 1..K)
                |v_l^H w|^2 <= quad_cap       (interference caps, l = 1..L)
-               ||w||_2 <= ball_radius
+               ||w||_2 <= 1                  (the unit ball)
 
 The feasible set is never empty (w = 0 with t small enough always works), and
 instances here are tiny (K+L up to ~16), so a log-barrier interior-point
@@ -74,7 +74,6 @@ class EpigraphProblem:
     offsets: np.ndarray       # (K,) reals b_k
     quad_vectors: np.ndarray  # (L, N) complex, rows v_l
     quad_cap: float
-    ball_radius: float = 1.0
 
     def __post_init__(self):
         try:
@@ -96,8 +95,6 @@ class EpigraphProblem:
             raise ValueError("offsets and linear_terms lengths differ")
         if not self.quad_cap > 0:
             raise ValueError("quad_cap must be > 0")
-        if not self.ball_radius > 0:
-            raise ValueError("ball_radius must be > 0")
 
     @property
     def dim(self) -> int:
@@ -154,9 +151,9 @@ def _slack_form(C_r, V_r, problem):
     R = np.concatenate([V_r, 1j * V_r], axis=1).reshape(L, 2, r)
     R = np.concatenate([R.real, R.imag], axis=2)
     S[K:K + L, :-2, :-2] = -(R.transpose(0, 2, 1) @ R)
-    S[-1, :-2, :-2] = -np.eye(d - 1)                   # r2 - ||y||^2
+    S[-1, :-2, :-2] = -np.eye(d - 1)                   # 1 - ||y||^2
     S[:, d, d] = np.concatenate([-problem.offsets, np.full(L, problem.quad_cap),
-                                 [problem.ball_radius ** 2]])
+                                 [1.0]])
     return S
 
 
@@ -164,8 +161,8 @@ def _center(zh, mu, tol, S) -> bool:
     """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu`` until
     the squared Newton decrement is at most 2*tol, updating ``zh`` in place.
 
-    Returns False when the stage runs out of steps or no step decreases the
-    barrier, which only happens at the float64 floor.
+    Returns False when the stage runs out of steps, no step decreases the
+    barrier or the decrement is negative or NaN, all at the float64 floor.
     """
     # ndarray.dot, not @: at these sizes @ costs about 1 us more per product
     m, d, z = len(S), len(zh) - 1, zh[:-1]
@@ -186,8 +183,8 @@ def _center(zh, mu, tol, S) -> bool:
             H[np.arange(d), np.arange(d)] += 1e-12 * max(1.0, np.trace(H) / d)
             step = np.linalg.solve(H, g)
         decrement = g.dot(step)
-        if decrement / 2.0 <= tol:
-            return True
+        if not decrement / 2.0 > tol:   # a NaN or negative one is no centre
+            return decrement >= 0.0
         if decrement <= _FULL_STEP:
             z += step
             continue
@@ -221,7 +218,7 @@ def _line_search(d1, d2, dt, mu, slope):
 def _residual(problem: EpigraphProblem, w: np.ndarray, t: float) -> float:
     """Worst constraint violation of (w, t); zero for interior points."""
     viol = np.concatenate([
-        [np.linalg.norm(w) - problem.ball_radius],
+        [np.linalg.norm(w) - 1.0],
         np.abs(problem.quad_vectors.conj() @ w) ** 2 - problem.quad_cap,
         t - (2.0 * (problem.linear_terms.conj() @ w).real - problem.offsets)])
     return float(max(0.0, viol.max()))

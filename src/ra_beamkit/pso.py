@@ -14,6 +14,7 @@ swarm term; one scalar per term per particle).
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -31,7 +32,7 @@ _PENALTY = 1e6               # weight on the summed cap violations
 class PsoConfig:
     num_particles: int = 200
     max_iterations: int = 100
-    delta_threshold: float = 1e-2
+    delta_threshold: ClassVar[float] = 1e-2    # stop tolerance of the method
 
     def __post_init__(self):
         if self.num_particles < 1:

@@ -8,6 +8,7 @@ never decreases across iterations (up to the certified gap ``GAP_TARGET``).
 """
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -17,12 +18,10 @@ from .convex_core import EpigraphProblem, solve_epigraph
 
 @dataclass
 class ScaConfig:
-    delta_threshold: float = 1e-2
     max_iterations: int = 100
+    delta_threshold: ClassVar[float] = 1e-2    # stop tolerance of the method
 
     def __post_init__(self):
-        if not self.delta_threshold > 0:
-            raise ValueError("delta_threshold must be > 0")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
 
@@ -80,7 +79,7 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig) -> S
         iterations += 1
         inner = V_desired.conj() @ w            # v_k^H w
         problem = EpigraphProblem(V_desired * inner[:, None], np.abs(inner) ** 2,
-                                  V_interf, quad_cap=eta, ball_radius=1.0)
+                                  V_interf, quad_cap=eta)
         sol = solve_epigraph(problem)
         nonoptimal += sol.status != "optimal"
         w = sol.weights

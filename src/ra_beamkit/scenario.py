@@ -8,9 +8,8 @@ Scenario files are JSON documents whose keys are the fields of
     pattern_sample_step_deg,
     pattern: {max_gain_dbi, beamwidth_3db_deg, sidelobe_limit_db,
               front_to_back_db},
-    solver: {delta_threshold, max_outer_iterations,
-             sca: {delta_threshold, max_iterations},
-             pso: {num_particles, max_iterations, delta_threshold}}
+    solver: {max_outer_iterations, sca: {max_iterations},
+             pso: {num_particles, max_iterations}}
 
 The nested objects are the fields of ``RadiationPattern``, ``AoConfig``,
 ``ScaConfig`` and ``PsoConfig``.  The dataclasses hold the defaults, which
@@ -18,8 +17,9 @@ the README lists; an absent key takes its default, and unknown keys anywhere
 are rejected.  A key typed ``int`` takes an integer >= 1 and any other
 scalar a finite number: the ``NaN`` and ``Infinity`` literals that Python's
 json module reads are rejected.  Angles lie in [0, 180], the desired and
-interference sets are disjoint, ``eta_max_db`` lies in [-80, 80], and no
-scheme or seed is listed twice.  ``seeds`` is a list of ints >= 0 or a count
+interference sets are disjoint, ``eta_max_db`` lies in [-80, 80],
+``max_gain_dbi`` is at most 20, ``spacing_wavelengths`` is at most 1e6, and
+no scheme or seed is listed twice.  ``seeds`` is a list of ints >= 0 or a count
 M, meaning 0..M-1.
 
 Three resource ceilings bound what a scenario may ask for:
@@ -149,7 +149,6 @@ def _seeds(value, key, context):
 # keys checked by more than their type
 _PARSERS = {"desired_angles_deg": _number_list,
             "interference_angles_deg": _number_list,
-            "spacing_wavelengths": _positive,
             "pattern_sample_step_deg": _positive,
             "schemes": _schemes,
             "seeds": _seeds}
@@ -186,11 +185,12 @@ def _build(cls, doc, path=""):
 
 
 def _check_spec(spec, context="scenario"):
-    """The ``Scenario`` checks (angle sets and cap) and the resource ceilings."""
+    """The ``Scenario`` and ``ArrayGeometry`` checks and the resource ceilings."""
     try:
-        spec.scenario
+        spec.scenario, spec.geometry
     except ValueError as exc:
-        keys = ("'eta_max_db'" if str(exc).startswith("eta_max_db")
+        key = str(exc).split()[0]
+        keys = (f"'{key}'" if key in ("eta_max_db", "spacing_wavelengths")
                 else "'desired_angles_deg'/'interference_angles_deg'")
         raise ScenarioError(f"key {keys} in {context}: {exc}") from exc
     if spec.num_antennas > MAX_ANTENNAS:

@@ -296,13 +296,16 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
      "--scenarios"),
     (["sweep", "--field", "eta_max_db", "--values", "4000"], "--values"),
     (["sweep", "--field", "eta_max_db", "--values", "-150"], "--values"),
+    (["run", "--schemes", ""], "--schemes"),
+    (["sweep", "--field", "spacing_wavelengths", "--values", "1e7"], "--values"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # before: --step inf and --values inf exited 0, 4.7 solved N = 4,
     # nan, 0 and -1 exited 2 from the solver, --base-seed -1 exited 2 and
     # --schemes foa,FOA solved and wrote every seed twice; --values -5,-5,-5.0
     # solved each copy and wrote the last one's cells three times; eta caps
-    # of 4000 and -150 dB exited 2 from the solver
+    # of 4000 and -150 dB exited 2 from the solver; --schemes "" solved
+    # every scheme; a spacing of 1e7 wavelengths swept on float64 noise
     scenario = write_scenario(tmp_path)
     state = tmp_path / "report.json"
     state.write_text(json.dumps({"scheme": "FOA", "final_state": {

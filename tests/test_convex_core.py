@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ra_beamkit import convex_core, sca
+from ra_beamkit.ao import random_initial_weights
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario,
                                     composite_response, steering_vector)
@@ -33,7 +34,7 @@ def sample_best_feasible(problem, count, seed):
         m = min(remaining, 200_000)
         W = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
         W /= np.linalg.norm(W, axis=1, keepdims=True)
-        W *= problem.ball_radius * rng.random((m, 1)) ** (1.0 / (2 * n))
+        W *= rng.random((m, 1)) ** (1.0 / (2 * n))
         ok = np.ones(m, dtype=bool)
         for v in problem.quad_vectors:
             ok &= np.abs(W @ v.conj()) ** 2 <= problem.quad_cap
@@ -68,7 +69,7 @@ def certified_gap(problem, sol):
     V = np.array(problem.quad_vectors).reshape(-1, problem.dim)
     lin = 2 * np.real(C.conj() @ w) - b - t
     s = problem.quad_cap - np.abs(V.conj() @ w) ** 2
-    ball = problem.ball_radius ** 2 - np.vdot(w, w).real
+    ball = 1.0 - np.vdot(w, w).real
     mu = np.sum(1 / lin)
     x = np.concatenate([1 / lin, 1 / s, [1 / ball]]) / mu     # lam, u, nu
     K = len(C)
@@ -78,7 +79,7 @@ def certified_gap(problem, sol):
         c = lam @ C
         M = (V.T * u) @ V.conj() + nu * np.eye(problem.dim)
         return np.vdot(c, np.linalg.solve(M, c)).real - lam @ b \
-            + problem.quad_cap * u.sum() + nu * problem.ball_radius ** 2 - t
+            + problem.quad_cap * u.sum() + nu - t
 
     # stationarity is linear in the multipliers: x @ G = 0
     G = np.concatenate([C, -(V.conj() @ w)[:, None] * V, -w[None, :]])
@@ -340,3 +341,18 @@ def test_full_step_rule_is_exact(monkeypatch, seed):
     searched = solve_epigraph(problem)
     assert np.array_equal(ruled.weights, searched.weights)
     assert ruled.objective == searched.objective
+
+
+def test_negative_decrement_is_not_certified():
+    # a far-pair weight step under a 1e-15 cap: rounding makes the first
+    # Newton decrement negative, which once ended the stage as converged and
+    # certified the start point (w = 0) as "optimal"
+    rotations = np.random.default_rng(5).uniform(-100, 100, 15)
+    w = random_initial_weights(15, 5)
+    V = composite_response(RadiationPattern(), ArrayGeometry(15), rotations,
+                           [60.0, 140.0, 20.0, 160.0])
+    inner = V[:2].conj() @ w
+    sol = solve_epigraph(EpigraphProblem(V[:2] * inner[:, None],
+                                         np.abs(inner) ** 2, V[2:],
+                                         quad_cap=1e-15))
+    assert sol.status == "max_iterations"

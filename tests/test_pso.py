@@ -129,8 +129,7 @@ class TestOptimizeRotations:
         geo = ArrayGeometry(4)
         sc = Scenario((90.0,), (), -10.0)
         w = steering_vector(geo, 90.0) / np.sqrt(4)
-        cfg = PsoConfig(num_particles=300, max_iterations=300,
-                        delta_threshold=1e-6)
+        cfg = PsoConfig(num_particles=300, max_iterations=300)
         rot, fit = optimize_rotations(w, np.full(4, 40.0), sc, PAT, geo, cfg,
                                       seed=0)
         full = 4 * 10 ** 0.8

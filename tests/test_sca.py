@@ -121,8 +121,8 @@ class TestOptimizeWeights:
         w0 = np.exp(1j * rng.uniform(0, 2 * np.pi, 8)) / np.sqrt(8)
         report = optimize_weights(
             BeamformerState(w0, np.zeros(8)), sc, PAT, geo,
-            ScaConfig(delta_threshold=1e-9, max_iterations=5))
-        assert report.iterations <= 5
+            ScaConfig(max_iterations=5))
+        assert report.iterations == 5      # this instance stalls after 8
 
     def test_close_beams_regression(self):
         geo = ArrayGeometry(15)

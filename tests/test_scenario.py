@@ -1,5 +1,6 @@
 import json
-from dataclasses import asdict
+import re
+from dataclasses import asdict, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -8,7 +9,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from ra_beamkit import scenario as scenario_mod
 from ra_beamkit.ao import AoConfig
-from ra_beamkit.array_model import (MAX_ETA_DB, RadiationPattern, Scenario,
+from ra_beamkit.array_model import (MAX_ETA_DB, MAX_GAIN_DBI,
+                                    MAX_SPACING_WAVELENGTHS, ArrayGeometry,
+                                    RadiationPattern, Scenario,
                                     rotation_bounds)
 from ra_beamkit.convex_core import GAP_TARGET
 from ra_beamkit.experiments import report_to_dict, run_single
@@ -56,6 +59,9 @@ def test_unknown_top_level_key_named():
     ("solver.pso", "learn_global"),
     ("solver.pso", "penalty_factor"),
     ("solver.sca", "subproblem_tolerance"),
+    ("solver", "delta_threshold"),
+    ("solver.sca", "delta_threshold"),
+    ("solver.pso", "delta_threshold"),
 ])
 def test_unknown_nested_key_named(path, key):
     doc = {key: 1.0}
@@ -107,9 +113,7 @@ CONFIG_CLASSES = {"pattern": RadiationPattern, "solver": AoConfig,
 
 @pytest.mark.parametrize("path,key,value", [
     ("pattern", "max_gain_dbi", -2.0),
-    ("solver", "delta_threshold", 0.0),
     ("solver", "max_outer_iterations", 0),
-    ("solver.sca", "delta_threshold", 0.0),
     ("solver.sca", "max_iterations", 0),
     ("solver.pso", "max_iterations", 0),
 ])
@@ -129,12 +133,11 @@ def test_solver_overrides():
     spec = parse_scenario({**MINIMAL, "solver": {
         "max_outer_iterations": 5,
         "sca": {"max_iterations": 12},
-        "pso": {"num_particles": 33, "delta_threshold": 0.3}}})
+        "pso": {"num_particles": 33, "max_iterations": 7}}})
     assert spec.solver.max_outer_iterations == 5
     assert spec.solver.sca.max_iterations == 12
     assert spec.solver.pso.num_particles == 33
-    assert spec.solver.pso.delta_threshold == 0.3
-    assert spec.solver.pso.max_iterations == 100
+    assert spec.solver.pso.max_iterations == 7
 
 
 def test_scheme_normalization():
@@ -183,10 +186,10 @@ def test_override_spec():
      "pattern_sample_step_deg"),
     ({**MINIMAL, "spacing_wavelengths": 10 ** 400}, "spacing_wavelengths"),
     ({**MINIMAL, "pattern": {"max_gain_dbi": float("-inf")}}, "max_gain_dbi"),
-    ({**MINIMAL, "solver": {"sca": {"delta_threshold": float("nan")}}},
-     "delta_threshold"),
-    ({**MINIMAL, "solver": {"pso": {"delta_threshold": float("inf")}}},
-     "delta_threshold"),
+    ({**MINIMAL, "pattern": {"beamwidth_3db_deg": float("nan")}},
+     "beamwidth_3db_deg"),
+    ({**MINIMAL, "pattern": {"sidelobe_limit_db": float("inf")}},
+     "sidelobe_limit_db"),
     ({"desired_angles_deg": [float("nan")]}, "desired_angles_deg"),
     ({**MINIMAL, "interference_angles_deg": [float("inf")]},
      "interference_angles_deg"),
@@ -218,6 +221,56 @@ def test_eta_range(eta_db):
         Scenario((60.0,), (), eta_db)
     with pytest.raises(ScenarioError, match="^key 'eta_max_db' in scenario"):
         parse_scenario({**MINIMAL, "eta_max_db": eta_db})
+
+
+@pytest.mark.parametrize("gain_dbi", [20.5, 30.0, 4000])
+def test_max_gain_bound(gain_dbi):
+    # before: 4000 dBi overflowed the linear gain and exited 2; from about
+    # 22 dBi some N = 64 solves went uncertified
+    doc = {**MINIMAL, "pattern": {"max_gain_dbi": MAX_GAIN_DBI}}
+    assert parse_scenario(doc).pattern.max_gain_dbi == MAX_GAIN_DBI
+    with pytest.raises(ValueError, match="max_gain_dbi"):
+        RadiationPattern(max_gain_dbi=gain_dbi)
+    with pytest.raises(ScenarioError, match="'pattern'.*max_gain_dbi"):
+        parse_scenario({**MINIMAL, "pattern": {"max_gain_dbi": gain_dbi}})
+
+
+@pytest.mark.parametrize("spacing", [1.5e6, 1e300, 1e308])
+def test_spacing_bound(spacing):
+    # before: 1e308 wavelengths wrote nan gains and 1e300 steered on
+    # float64 noise, both exiting 0
+    doc = {**MINIMAL, "spacing_wavelengths": MAX_SPACING_WAVELENGTHS}
+    assert parse_scenario(doc).spacing_wavelengths == MAX_SPACING_WAVELENGTHS
+    with pytest.raises(ValueError, match="spacing_wavelengths"):
+        ArrayGeometry(4, spacing)
+    with pytest.raises(ScenarioError,
+                       match="^key 'spacing_wavelengths' in scenario"):
+        parse_scenario({**MINIMAL, "spacing_wavelengths": spacing})
+
+
+def _schema_keys(cls, prefix=""):
+    keys = set()
+    for f in fields(cls):
+        keys.add(prefix + f.name)
+        if is_dataclass(f.type):
+            keys |= _schema_keys(f.type, f"{prefix}{f.name}.")
+    return keys
+
+
+def test_docstring_key_list_matches_schema():
+    # the scenario module docstring lists every key, nested ones included
+    block = scenario_mod.__doc__.split("::", 1)[1].split("\n\n")[1]
+    block = re.sub(r"\(required\)", "", block)
+    keys, stack, name = set(), [], None
+    for token in re.findall(r"\w+|[{}:]", block):
+        if token == "{":
+            stack.append(name)
+        elif token == "}":
+            stack.pop()
+        elif token != ":":
+            name = token
+            keys.add(".".join(stack + [name]))
+    assert keys == _schema_keys(ScenarioSpec)
 
 
 def test_seed_ceiling(monkeypatch):
@@ -290,8 +343,8 @@ def test_readme_library_example_runs(capsys):
 
 def test_report_config_block_parses_back():
     # a report's config echo, used as a scenario's solver, is that solver
-    spec = parse_scenario({**MINIMAL, "num_antennas": 4, "solver": {
-        **SMALL_SOLVER, "sca": {"max_iterations": 8, "delta_threshold": 1e-3}}})
+    spec = parse_scenario({**MINIMAL, "num_antennas": 4,
+                           "solver": SMALL_SOLVER})
     report = json.loads(json.dumps(report_to_dict(run_single(spec, "RA", 1),
                                                   spec)))
     assert parse_scenario({**MINIMAL, "solver": report["config"]}).solver \
