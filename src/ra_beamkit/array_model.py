@@ -15,6 +15,13 @@ element's boresight points at ``90 + theta``.  theta = 0 is the fixed,
 broadside orientation, aiming an element at psi takes ``theta = psi - 90``,
 and the allowed rotation range is symmetric about theta = 0.
 
+Two functions give the array gain.  :func:`array_gain`, built on
+:func:`composite_response`, takes any stack of directions and rotation
+vectors; the weight step, the swarm fitness and every reported gain use it.
+:func:`grid_gain` takes one rotation vector and a 1-D grid of directions and
+evaluates the steering sum by Horner's rule in ``exp(j 2 pi d cos psi)``; the
+pattern sampler uses it.  The two agree to rounding (see grid_gain).
+
 All public interfaces take angles in degrees.  Gains are linear power ratios
 unless the name says dB.  Every function here is pure and safe to call
 concurrently.
@@ -26,7 +33,7 @@ import numpy as np
 
 MAX_GAIN_DBI = 20.0            # from 22 dBi some N = 64 solves go uncertified
 MAX_ETA_DB = 80.0              # |eta_max_db|; by -90 dB some go uncertified
-MAX_SPACING_WAVELENGTHS = 1e6  # steering phase good to ~1e-6 rad at N = 1024
+MAX_SPACING_WAVELENGTHS = 1e6  # steering phase good to ~2e-6 rad at N = 1024
 
 
 @dataclass(frozen=True)
@@ -138,14 +145,19 @@ class Scenario:
         return 10.0 ** (self.eta_max_db / 10.0)
 
 
-def element_gain_dbi(pattern: RadiationPattern, steer_deg):
+def element_gain_dbi(pattern: RadiationPattern, steer_deg, out=None):
     """Directive element gain in dBi at the given (relative) steering angle.
 
     Defined for any real angle; no wrapping is applied.  Accepts scalars or
-    arrays and returns the same shape.
+    arrays and returns the same shape.  ``out``, a float array of that
+    shape, receives the gain in place of a new array; it may be
+    ``steer_deg`` itself.
     """
-    gain = np.array(steer_deg, dtype=float)     # the only block allocated
-    gain -= 90.0
+    if out is None:
+        gain = np.array(steer_deg, dtype=float)     # the only block allocated
+        gain -= 90.0
+    else:
+        gain = np.subtract(steer_deg, 90.0, out=out, dtype=float)
     gain /= pattern.beamwidth_3db_deg
     np.square(gain, out=gain)
     gain *= 12.0
@@ -155,9 +167,10 @@ def element_gain_dbi(pattern: RadiationPattern, steer_deg):
     return gain if gain.ndim else float(gain)
 
 
-def element_gain_linear(pattern: RadiationPattern, steer_deg):
-    """Element gain as a linear power ratio (strictly positive)."""
-    gain = np.asarray(element_gain_dbi(pattern, steer_deg))
+def element_gain_linear(pattern: RadiationPattern, steer_deg, out=None):
+    """Element gain as a linear power ratio (strictly positive); ``out`` as
+    in :func:`element_gain_dbi`."""
+    gain = np.asarray(element_gain_dbi(pattern, steer_deg, out))
     gain /= 10.0
     np.power(10.0, gain, out=gain)
     return gain if gain.ndim else float(gain)
@@ -227,6 +240,68 @@ def array_gain(weights, pattern, geometry: ArrayGeometry,
     v = composite_response(pattern, geometry, rotations_deg, psi_deg)
     gain = np.abs(v @ np.conj(w)) ** 2
     return float(gain) if gain.ndim == 0 else gain
+
+
+def grid_gain(weights, pattern, geometry: ArrayGeometry,
+              rotations_deg, psi_deg) -> np.ndarray:
+    """Array power gain of one rotation vector over a 1-D grid of directions.
+
+    The gain of :func:`array_gain`, evaluated as the polynomial
+    ``sum_n conj(w_n) A_n(psi) z**n`` in ``z = exp(j 2 pi d cos psi)`` by
+    Horner's rule: one complex exponential per direction and no
+    (directions, N) complex block.  The amplitudes ``A_n`` are computed once
+    per distinct rotation, one contiguous row per rotation.  With
+    ``pattern=None`` or one distinct rotation the coefficients are the
+    constants ``conj(w_n)``, and in the second case the one element gain
+    multiplies the result.  Every operation is elementwise along the grid,
+    so splitting the grid changes no bit.
+
+    Against :func:`array_gain` the result differs by at most
+    ``c N (1 + 2 pi d) eps S**2`` to first order in the machine epsilon
+    ``eps``, with ``S = sum_n |w_n| A_n(psi)`` and ``c = 10``.  The
+    amplitudes are the same bits; Horner's rule and the two sums add
+    O(N eps S), and the phase of ``z**n``, formed by n products, and of
+    array_gain's ``exp(j 2 pi d n cos psi)`` each carry O(n eps 2 pi d).
+    The largest measured |difference| is 0.44 of the bound, at N = 1.
+    """
+    w = np.asarray(weights, dtype=complex)
+    rotations = np.asarray(rotations_deg, dtype=float)
+    n = geometry.num_antennas
+    if w.shape != (n,) or rotations.shape != (n,):
+        raise ValueError("weights and rotations must hold num_antennas each")
+    psi = np.asarray(psi_deg, dtype=float)
+    phase = np.radians(psi)
+    np.cos(phase, out=phase)
+    phase *= 2.0 * np.pi * geometry.spacing_wavelengths
+    z = 1j * phase
+    del phase
+    np.exp(z, out=z)
+    coef = np.conj(w)
+    amp = scale = None
+    if pattern is not None:
+        distinct, index = np.unique(rotations, return_inverse=True)
+        amp = psi - distinct[:, None]
+        element_gain_linear(pattern, amp, out=amp)
+        if distinct.size == 1:      # one element gain scales every term
+            scale, amp = amp[0], None
+        else:
+            np.sqrt(amp, out=amp)
+    if amp is None:
+        p = np.full(psi.shape, coef[-1])
+        for c in coef[-2::-1]:
+            p *= z
+            p += c
+    else:
+        p = amp[index[-1]] * coef[-1]
+        term = np.empty_like(p)
+        for k in range(n - 2, -1, -1):
+            p *= z
+            p += np.multiply(amp[index[k]], coef[k], out=term)
+    gain = np.square(p.real)
+    gain += np.square(p.imag, out=p.imag)
+    if scale is not None:
+        gain *= scale
+    return gain
 
 
 def full_array_gain(pattern: RadiationPattern, geometry: ArrayGeometry) -> float:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .ao import (RunReport, child_seed, random_initial_weights, solve_foa,
                  solve_ia, solve_ra)
-from .array_model import (BeamformerState, array_gain, full_array_gain,
+from .array_model import (BeamformerState, full_array_gain, grid_gain,
                           rotation_bounds)
 from .scenario import (MAX_TASKS, VALID_SCHEMES, ScenarioError, ScenarioSpec,
                        _number_list, _replace_field)
@@ -30,11 +30,12 @@ from .scenario import (MAX_TASKS, VALID_SCHEMES, ScenarioError, ScenarioSpec,
 DB_FLOOR = -300.0
 SWEEP_FIELDS = ("num_antennas", "spacing_wavelengths", "eta_max_db")
 # traced bytes a pattern block may hold (see pattern_block_rows): sampling
-# holds about two complex responses per antenna and row, formatting about
-# 450 bytes per row
+# holds one amplitude per antenna and row plus 56 bytes per row (the
+# directions and three complex rows), formatting 520 bytes per row
 PATTERN_BLOCK_BYTES = 2 ** 21
-_SAMPLE_ROW_BYTES = 32
-_FORMAT_ROW_BYTES = 448
+_SAMPLE_ANTENNA_BYTES = 8
+_SAMPLE_ROW_BYTES = 56
+_FORMAT_ROW_BYTES = 520
 
 
 def initial_rotations(seed: int, desired_angles_deg, pattern, num_antennas,
@@ -128,8 +129,8 @@ def sample_gain_pattern(state: BeamformerState, pattern, geometry,
         psi *= 180.0 / (rows - 1)
         if stop == rows and stop > start:
             psi[-1] = 180.0
-    return psi, array_gain(state.weights, pattern, geometry,
-                           state.rotations_deg, psi)
+    return psi, grid_gain(state.weights, pattern, geometry,
+                          state.rotations_deg, psi)
 
 
 def gain_to_db(gain_linear) -> np.ndarray:
@@ -293,10 +294,12 @@ def _pattern_csv_block(state, pattern, geometry, step_deg, start, stop) -> str:
 
 def pattern_block_rows(num_antennas: int) -> int:
     """Rows per block of ``write_pattern_csv``: as many as fit in
-    ``PATTERN_BLOCK_BYTES`` at the traced bytes a row costs to sample (per
-    antenna) plus to format."""
-    return max(1, PATTERN_BLOCK_BYTES // (_SAMPLE_ROW_BYTES * num_antennas
-                                          + _FORMAT_ROW_BYTES))
+    ``PATTERN_BLOCK_BYTES`` at the traced bytes a row costs to sample or to
+    format, whichever is more.  A block's sampling arrays are freed before
+    it is formatted, so the two never add up."""
+    row_bytes = max(_SAMPLE_ANTENNA_BYTES * num_antennas + _SAMPLE_ROW_BYTES,
+                    _FORMAT_ROW_BYTES)
+    return max(1, PATTERN_BLOCK_BYTES // row_bytes)
 
 
 def write_pattern_csv(path, state: BeamformerState, pattern, geometry,

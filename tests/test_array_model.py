@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario, array_gain,
                                     composite_response, effective_gain_vector,
                                     element_gain_dbi, element_gain_linear,
-                                    full_array_gain, rotation_bounds,
-                                    steering_vector)
+                                    full_array_gain, grid_gain,
+                                    rotation_bounds, steering_vector)
 
 PAT = RadiationPattern()
 FULL_GAIN_15 = 15 * 10 ** 0.8
@@ -242,6 +242,40 @@ class TestCompositeAndGain:
         scale = np.linalg.norm(w) ** 2 * np.sum(
             np.abs(composite_response(PAT, geo, rot, psi)) ** 2, axis=-1)
         assert np.all(np.abs(gains - single) <= 1e-15 * scale)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.integers(min_value=1, max_value=64),
+           st.integers(min_value=1, max_value=64),
+           st.floats(min_value=0.0, max_value=1e3, exclude_min=True),
+           st.booleans())
+    @example(seed=0, n=64, distinct=1, spacing=1e3, isotropic=False)
+    @example(seed=1, n=64, distinct=3, spacing=1e3, isotropic=True)
+    @example(seed=2, n=1, distinct=1, spacing=5e-324, isotropic=False)
+    def test_grid_gain_matches_array_gain(self, seed, n, distinct, spacing,
+                                          isotropic):
+        # the bound of grid_gain's docstring: |dg| <= 10 N (1 + 2 pi d) eps
+        # S^2, with S = sum |w_n| A_n(psi); `distinct` rotation values are
+        # shared among the elements, so 1 means all equal
+        rng = np.random.default_rng(seed)
+        pat = None if isotropic else PAT
+        geo = ArrayGeometry(n, spacing)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        values = rng.uniform(-102.0, 102.0, min(distinct, n))
+        rot = values[rng.integers(0, values.size, n)]
+        psi = np.concatenate([[0.0, 90.0, 180.0], rng.uniform(0.0, 180.0, 200)])
+        gains = grid_gain(w, pat, geo, rot, psi)
+        reference = array_gain(w, pat, geo, rot, psi)
+        s = effective_gain_vector(pat, rot, psi) @ np.abs(w)
+        bound = 10 * n * (1 + 2 * np.pi * spacing) * np.finfo(float).eps * s ** 2
+        assert gains.shape == psi.shape
+        assert np.all(np.abs(gains - reference) <= bound)
+
+    def test_grid_gain_checks_lengths(self):
+        with pytest.raises(ValueError):
+            grid_gain(np.ones(3), PAT, ArrayGeometry(4), np.zeros(4), [90.0])
+        with pytest.raises(ValueError):
+            grid_gain(np.ones(4), PAT, ArrayGeometry(4), np.zeros(3), [90.0])
 
 
 class TestStateAndScenario:

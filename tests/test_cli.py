@@ -332,23 +332,29 @@ def _random_state(n, seed=4):
 
 
 @pytest.mark.parametrize("element", ["patterned", "isotropic"])
-@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.02), (64, 0.05)])
+@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.02), (64, 0.02)])
 def test_streamed_pattern_matches_one_shot_grid(n, step, element):
-    # the reference samples the whole linspace grid at once and formats it
-    # row by row, as the writer did before it streamed blocks
+    # the reference samples the whole linspace grid in one call and formats
+    # it row by row, as the writer did before it streamed blocks
     pattern = RadiationPattern() if element == "patterned" else None
     geo, state = ArrayGeometry(n), _random_state(n)
     rows = int(round(180.0 / step)) + 1
     block = experiments.pattern_block_rows(n)
     assert rows > 2 * block and rows % block    # >= 3 blocks, ragged last
-    psi = np.linspace(0.0, 180.0, rows)
-    gains = array_gain(state.weights, pattern, geo, state.rotations_deg, psi)
-    expected = "psi_deg,gain_linear,gain_db\n" + "".join(
+    psi, gains = sample_gain_pattern(state, pattern, geo, step)
+    expected = ["psi_deg,gain_linear,gain_db\n"] + [
         "%.17g,%.17g,%.17g\n" % row
-        for row in zip(psi.tolist(), gains.tolist(), gain_to_db(gains).tolist()))
+        for row in zip(psi.tolist(), gains.tolist(), gain_to_db(gains).tolist())]
     out = io.StringIO()
     write_pattern_csv(out, state, pattern, geo, step)
-    assert out.getvalue() == expected
+    written = out.getvalue().splitlines(keepends=True)
+    # name the first differing line, not a diff of two 36 001-line strings
+    first = next((i for i, (a, b) in enumerate(zip(written, expected))
+                  if a != b), min(len(written), len(expected)))
+    same = first == len(written) == len(expected)
+    assert same, (
+        f"line {first + 1}: wrote {written[first:first + 1]}, "
+        f"one-shot grid gives {expected[first:first + 1]}")
 
 
 @pytest.mark.parametrize("step", [400.0, 180.0, 90.0, 180 / 39, 0.1, 0.0137,
@@ -366,13 +372,17 @@ def test_pattern_blocks_rebuild_linspace_grid(step):
     assert whole.tobytes() == reference
 
 
-def test_pattern_writer_memory_is_bounded():
-    # 180 001 rows x 15 elements: the one-shot writer peaked at about 65 MiB
-    state = _random_state(15)
+@pytest.mark.parametrize("n", [1, 15, 64, MAX_ANTENNAS])
+def test_pattern_writer_memory_is_bounded(n):
+    # 180 001 rows x 15 elements: the one-shot writer peaked at about 65 MiB.
+    # At N = 1024 the 0.001 deg grid is cut to the pattern-size ceiling,
+    # 16 384 rows.
+    step = max(0.001, 180.0 / (scenario_mod.MAX_PATTERN_SIZE // n - 1))
+    state = _random_state(n)
     tracemalloc.start()
     try:
         write_pattern_csv(_Discard(), state, RadiationPattern(),
-                          ArrayGeometry(15), 0.001)
+                          ArrayGeometry(n), step)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
