@@ -31,11 +31,12 @@ DB_FLOOR = -300.0
 SWEEP_FIELDS = ("num_antennas", "spacing_wavelengths", "eta_max_db")
 # traced bytes a pattern block may hold (see pattern_block_rows): sampling
 # holds one amplitude per antenna and row plus 56 bytes per row (the
-# directions and three complex rows), formatting 520 bytes per row
+# directions and three complex rows), formatting 384 bytes per row (three
+# float columns and the temporaries of three fields)
 PATTERN_BLOCK_BYTES = 2 ** 21
 _SAMPLE_ANTENNA_BYTES = 8
 _SAMPLE_ROW_BYTES = 56
-_FORMAT_ROW_BYTES = 520
+_FORMAT_ROW_BYTES = 384
 
 
 def initial_rotations(seed: int, desired_angles_deg, pattern, num_antennas,
@@ -143,15 +144,15 @@ def gain_to_db(gain_linear) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # "%.17g" for arrays
 #
-# For finite |x| in [1e-4, 1e16), "%.17g" is fixed notation: the 17
+# For finite |x| in [1e-4, 1e3), "%.17g" is fixed notation: the 17
 # significant digits D, the integer nearest |x| * 10**(16 - e) with ties to
-# even, e = floor(log10 |x|), with the point after digit e and trailing
-# fraction zeros and a bare point stripped.  10**k is exact in float64 for
-# k <= 22, Dekker's product splits |x| * 10**k exactly into p + err, and
-# p >= 10**16 > 2**53 is an even integer, so D = p + rint(err).  Each field is
-# laid out in a cell of NUL-padded words; one bytes.translate per block
-# deletes the NULs.  Every other value (zero, exponent notation, nan, inf) is
-# formatted by Python.
+# even, e = floor(log10 |x|) in [-4, 2], with the point after digit e and
+# trailing fraction zeros and a bare point stripped.  10**k is exact in
+# float64 for k <= 22, Dekker's product splits |x| * 10**k exactly into
+# p + err, and p >= 10**16 > 2**53 is an even integer, so D = p + rint(err).
+# Each field is laid out in a cell of seven NUL-padded words; one
+# bytes.translate per block deletes the NULs.  Every other value (zero,
+# |x| >= 1e3, exponent notation, nan, inf) is formatted by Python.
 
 _POW10 = np.array([float(10 ** k) for k in range(22)])
 
@@ -187,41 +188,38 @@ def _divmod(v, base):
     return q, v - q * base
 
 
-def _words(chunks, dtype=np.uint32):
-    return np.frombuffer(b"".join(chunks), dtype)
-
-
-# a field's cell, in 12 words: sign, "0." and leading zeros or the first
-# digit (2 words); digits 1-16 of the integer part (4); the point or the
-# first digit (1); digits 1-16 of the fraction (4); the separator (1)
-_CELL_WORDS = 12
-# _HEAD[(min(e, 0) + 4) * 20 + negative * 10 + first digit]
-_HEAD = _words([(b"-" if neg else b"\0")
-                + (b"0.000"[:1 - e] if e < 0 else b"").ljust(6, b"\0")
-                + (b"%d" % d if e == 0 else b"\0")
-                for e in range(-4, 1) for neg in (0, 1) for d in range(10)],
-               np.uint64)
-# _MID[point * 11 + first digit, or 10 for none]
-_MID = _words(b"\0\0" + (b"." if dot else b"\0")
-              + (b"%d" % d if d < 10 else b"\0")
-              for dot in (0, 1) for d in range(11))
-# _DIGITS4[v]: the four digits of v < 10**4; at v + 10**4, _FRACTION4 holds
-# them with trailing zeros as NULs, for the last nonzero quad of a fraction
-# and the zero quads after it.  (Built from small arrays: 2 * 10**4 bytes
-# objects would leave interpreter heap behind.)
+# a field's cell, in 7 words: the sign and the integer part, or "0." (1);
+# the point, or the leading fraction zeros and the first digit (1); the
+# other fraction digits, left-aligned in 16 with trailing zeros as NULs (4);
+# the separator (1).  The head words are looked up by a code: the integer part,
+# or for e < 0, 1000 + 10 * leading zeros + first digit.  Tables are built
+# from small arrays: thousands of bytes objects would leave interpreter heap
+# behind.
+_SHIFT10 = 10 ** np.arange(3, dtype=np.uint64)
+_i, _j = np.arange(1000), np.arange(4)
+_z, _first = np.divmod(np.arange(40), 10)
+_head = np.zeros((2, 2, 1040, 4), np.uint8)
+# _SIGN_INTEGER[negative * 1040 + code]
+_head[0, 1, :, 0] = ord("-")
+_head[0, :, :1000, 1:] = (np.stack([_i // 100, _i // 10 % 10, _i % 10], 1)
+                          + 48) * (_i[:, None] >= [100, 10, 0])
+_head[0, :, 1000:, 1:3] = (ord("0"), ord("."))
+# _POINT[fraction * 1040 + code]
+_head[1, 1, :1000, 0] = ord(".")
+_head[1, :, 1000:] = np.where(_j < _z[:, None], 48,
+                              (_j == _z[:, None]) * (_first[:, None] + 48))
+_SIGN_INTEGER, _POINT = _head.view(np.uint32).reshape(2, -1)
+# _FRACTION4[v]: the four digits of v < 10**4; at v + 10**4 with trailing
+# zeros as NULs, for the last nonzero quad of a fraction and the zero quads
+# after it
 _quad = np.arange(10000, dtype=np.int16)
 _digits = np.stack([_quad // 10 ** (3 - b) % 10 for b in range(4)],
                    axis=1).astype(np.uint8)
 _significant = np.maximum.accumulate(_digits[:, ::-1], axis=1)[:, ::-1] > 0
 _FRACTION4 = np.concatenate([_digits + 48, (_digits + 48) * _significant]
                             ).view(np.uint32).ravel()
-_DIGITS4 = _FRACTION4[:10000]
-del _quad, _digits, _significant
-# _INTEGER[j][e + 4]: the bytes of quad j (digits 4j + 1 to 4j + 4) that lie
-# in the integer part, which ends at digit e
-_INTEGER = [_words(bytes(255 if 4 * j + 1 + b <= e else 0 for b in range(4))
-                   for e in range(-4, 17)) for j in range(4)]
-_SEPARATORS = _words([b"\0\0\0,", b"\0\0\0,", b"\0\0\0\n"])
+del _i, _j, _z, _first, _head, _quad, _digits, _significant
+_SEPARATORS = np.frombuffer(b"\0\0\0,\0\0\0,\0\0\0\n", np.uint32)
 
 
 def _format_rows(columns) -> str:
@@ -229,13 +227,13 @@ def _format_rows(columns) -> str:
     for three float arrays, byte for byte."""
     x = np.stack(columns, axis=1).ravel()
     a = np.abs(x)
-    fast = (a >= 1e-4) & (a < 1e16)
+    fast = (a >= 1e-4) & (a < 1e3)
     a[~fast] = 1.0
     e = np.floor(np.log10(a)).astype(np.intp)
     d = _significand(a, e)
     # log10 may be one off next to a power of ten, and D may round up to
     # 10**17.  Both leave D outside [10**16, 10**17): for every double in
-    # [1e-4, 1e16), an e one too high puts a * 10**k at least 0.83 below
+    # [1e-4, 1e3), an e one too high puts a * 10**k at least 0.83 below
     # 10**16.
     off = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
     fix = np.flatnonzero(off)
@@ -244,40 +242,35 @@ def _format_rows(columns) -> str:
         d[fix] = _significand(a[fix], e[fix])
         fast &= (d >= 10 ** 16) & (d < 10 ** 17)
     del a, off, fix
-    first, d = _divmod(d, 10 ** 16)
+    # D * 10**max(e, 0), which may pass 2**63, is 10**16 times the integer
+    # part (for e < 0 the first digit) plus the other digits, left-aligned
+    d = d.view(np.uint64)
+    d *= _SHIFT10.take(np.maximum(e, 0))
+    integer = d // 10 ** 16
+    d -= integer * 10 ** 16
+    d, integer = d.view(np.int64), integer.view(np.int64)
     hi, lo = _divmod(d, 10 ** 8)
-    del d
-    quads = [*_divmod(hi, 10 ** 4), *_divmod(lo, 10 ** 4)]   # digits 1-16
+    quads = [*_divmod(hi, 10 ** 4), *_divmod(lo, 10 ** 4)]
     del hi, lo
 
-    buf = bytearray(4 * _CELL_WORDS * x.size)
-    cells = np.frombuffer(buf, np.uint32).reshape(x.size, _CELL_WORDS)
-    fraction_only = e < 0
-    cells.view(np.uint64)[:, 0] = _HEAD.take(
-        (np.minimum(e, 0) + 4) * 20 + (x < 0) * 10 + first)
-    e += 4
+    buf = bytearray(28 * x.size)
+    cells = np.frombuffer(buf, np.uint32).reshape(x.size, 7)
+    integer += (e < 0) * (990 - 10 * e)          # the head code
+    cells[:, 0] = _SIGN_INTEGER.take(integer + 1040 * (x < 0))
+    cells[:, 1] = _POINT.take(integer + 1040 * (d != 0))
+    del d, e, integer
     trailing = np.ones(x.size, bool)     # every later digit is zero
-    has_fraction = np.zeros(x.size, bool)
     for j in (3, 2, 1, 0):
-        integer = _INTEGER[j].take(e)
-        cells[:, 2 + j] = _DIGITS4.take(quads[j]) & integer
-        fraction = _FRACTION4.take(quads[j] + 10000 * trailing)
-        fraction &= ~integer
-        cells[:, 7 + j] = fraction
-        has_fraction |= fraction != 0
+        cells[:, 2 + j] = _FRACTION4.take(quads[j] + 10000 * trailing)
         trailing &= quads[j] == 0
-    first[~fraction_only] = 10
-    has_fraction &= ~fraction_only
-    cells[:, 6] = _MID.take(has_fraction * 11 + first)
-    cells.reshape(-1, 3, _CELL_WORDS)[:, :, -1] = _SEPARATORS
+    cells.reshape(-1, 3, 7)[:, :, -1] = _SEPARATORS
 
     slow = np.flatnonzero(~fast)
     if slow.size:
         text = ["%.17g" % v for v in x[slow].tolist()]
         lengths = np.array([len(t) for t in text])
         cells[slow, :-1] = 0
-        at = np.repeat(slow * 4 * _CELL_WORDS - np.cumsum(lengths) + lengths,
-                       lengths)
+        at = np.repeat(slow * 28 - np.cumsum(lengths) + lengths, lengths)
         at += np.arange(at.size)
         cells.view(np.uint8).reshape(-1)[at] = np.frombuffer(
             "".join(text).encode(), np.uint8)
@@ -310,7 +303,8 @@ def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
     The grid is streamed in blocks of ``pattern_block_rows(N)`` rows: each
     block is sampled, converted to dB, formatted and written before the next
     is sampled, so memory stays flat however fine the step.  Every number is
-    written as ``"%.17g"`` writes it; the numbers in [1e-4, 1e16) are
+    written as ``"%.17g"`` writes it; the numbers with magnitudes in
+    [1e-4, 1e3), nearly all of a pattern's angles, gains and dB values, are
     formatted by array arithmetic, the others by Python.
     """
     rows = _pattern_rows(step_deg)

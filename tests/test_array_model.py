@@ -271,6 +271,16 @@ class TestCompositeAndGain:
         assert gains.shape == psi.shape
         assert np.all(np.abs(gains - reference) <= bound)
 
+    @pytest.mark.parametrize("isotropic", [False, True])
+    def test_single_element_grid_gain_ignores_spacing(self, isotropic):
+        # at N = 1 Horner's loop never runs, so the phase term is not formed
+        pat = None if isotropic else PAT
+        w, rot = np.array([0.6 - 0.3j]), np.array([25.0])
+        psi = np.linspace(0.0, 180.0, 1801)
+        gains = [grid_gain(w, pat, ArrayGeometry(1, d), rot, psi).tobytes()
+                 for d in (0.5, 1e6)]
+        assert gains[0] == gains[1]
+
     def test_grid_gain_checks_lengths(self):
         with pytest.raises(ValueError):
             grid_gain(np.ones(3), PAT, ArrayGeometry(4), np.zeros(4), [90.0])

@@ -332,7 +332,7 @@ def _random_state(n, seed=4):
 
 
 @pytest.mark.parametrize("element", ["patterned", "isotropic"])
-@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.02), (64, 0.02)])
+@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.015), (64, 0.02)])
 def test_streamed_pattern_matches_one_shot_grid(n, step, element):
     # the reference samples the whole linspace grid in one call and formats
     # it row by row, as the writer did before it streamed blocks
@@ -537,6 +537,8 @@ _numbers = st.one_of(
     st.integers(0, 2 ** 64 - 1).map(                       # any bit pattern
         lambda b: float(np.array(b, np.uint64).view(np.float64))),
     st.floats(1e-4, 1e16, exclude_max=True),
+    st.floats(1e-4, 1e3, exclude_max=True),                 # the array path
+    st.integers(0, 1000).map(float),                        # no fraction
     st.builds(lambda p, steps: _ulps_from(float(f"1e{p}"), steps),
               st.integers(-6, 18), st.integers(-4, 4)),
     _ties,
@@ -550,10 +552,36 @@ _numbers = st.one_of(
 @example([(1e15 + 0.25, 1e15 + 0.75, 5e-5)])
 @example([(float(np.nextafter(1e16, 0)), float(np.nextafter(1e-4, 0)),
            float(np.nextafter(0.1, 1)))])
+# the doubles just below 1e3, which log10 rounds up to 3, and 1e3 itself
+@example([(_ulps_from(1e3, -1), 1e3, _ulps_from(1e3, -4)),
+          (-_ulps_from(1e3, -2), _ulps_from(1e3, 1), -_ulps_from(1e3, -5))])
+# negative values at every e in [-4, 2], some just below a power of ten
+@example([(-1.2345678901234567 * 10.0 ** e, -9.8765432109876543 * 10.0 ** e,
+           -(10.0 ** e) * 9.9999999999999982) for e in range(-4, 3)])
+# no fraction; nothing after the first fraction digit; every field by Python
+@example([(1.0, 100.0, 180.0), (0.001, -0.0001, 0.5), (0.0, 1e3, math.nan),
+          (-0.0, 5e-5, -math.inf)])
 def test_format_rows_matches_percent_17g(rows):
     columns = [np.array(c, dtype=float) for c in zip(*rows)]
     expected = "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
     assert experiments._format_rows(columns) == expected
+
+
+def test_format_rows_peak_fits_its_row_budget():
+    # the formatting stage of one full block, its three columns included,
+    # stays within the bytes per row that pattern_block_rows assumes
+    rows = experiments.pattern_block_rows(15)
+    tracemalloc.start()
+    try:
+        psi, gains = sample_gain_pattern(_random_state(15), RadiationPattern(),
+                                         ArrayGeometry(15), 0.001, 0, rows)
+        tracemalloc.reset_peak()
+        experiments._format_rows((psi, gains, gain_to_db(gains)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert psi.size == rows
+    assert peak <= experiments._FORMAT_ROW_BYTES * rows
 
 
 @pytest.mark.parametrize("k", [1, 8, 16, 20])
