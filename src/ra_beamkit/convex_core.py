@@ -50,11 +50,25 @@ difference carries rounding larger than the decrease being tested.  The
 barrier is self-concordant, so backtracking accepts the full step once the
 Newton decrement is at most (1 - 2*armijo)/4 (Boyd & Vandenberghe 2004,
 section 9.6.4); such steps skip the boundary root and the search.
+
+At d = 2r+1 <= 2(K+L)+1 a Newton step is a few dozen tiny products, so its
+cost is numpy's per-call overhead, and three things keep that down.  Each
+solve allocates the buffers of a step once (``_Barrier``) and every product
+writes into them.  The Newton system goes straight to ``solve1``, the LAPACK
+gufunc behind ``np.linalg.solve``, without the wrapper's checks and error
+context; LAPACK reports a singular Hessian by NaNs and the invalid flag, which
+each solve ignores once, and the NaN decrement retries the step on a slightly
+raised diagonal.  The line search runs in Python floats over the m entries of
+its lists.  All of it is the same floating-point work as with fresh arrays,
+the public solve and numpy's line search, to the bit on the subproblems
+checked (``_line_search`` says where its rounding may differ).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 GAP_TARGET = 1e-6            # absolute optimality gap every solve certifies
 _NEWTON_TOL = 1e-11          # squared Newton decrement / 2, final stage
@@ -66,6 +80,10 @@ _TO_BOUNDARY = 0.99          # first trial step: this fraction of the way
 _ARMIJO = 0.01
 _MAX_HALVINGS = 60
 _FULL_STEP = ((1.0 - 2.0 * _ARMIJO) / 4.0) ** 2    # squared decrement
+
+# the gufunc behind np.linalg.solve, whose checks and error context take
+# about two thirds of a call at d = 9; _Barrier.center handles a singular H
+_solve = _umath_linalg.solve1
 
 
 @dataclass
@@ -107,6 +125,7 @@ class ConvexSolution:
     objective: float
     feasibility_residual: float
     status: str               # "optimal" | "max_iterations"
+    newton_steps: int         # Newton systems solved, over every stage
 
 
 def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
@@ -123,19 +142,22 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     zh = np.zeros(2 * r + 2)                             # y = 0, then t, 1
     zh[-2:] = -b.max() - max(1.0, 0.05 * (np.abs(b).max() + 1.0)), 1.0
 
+    barrier = _Barrier(S)
     mu_final = _GAP_MARGIN * len(S) / GAP_TARGET
     mu, status = 1.0, "max_iterations"
-    while _center(zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL, S):
-        if mu == mu_final:
-            status = "optimal"
-            break
-        mu = min(mu * _MU_FACTOR, mu_final)
+    with np.errstate(invalid="ignore"):     # LAPACK's singular signal
+        while barrier.center(zh, mu,
+                             _NEWTON_TOL if mu == mu_final else _STAGE_TOL):
+            if mu == mu_final:
+                status = "optimal"
+                break
+            mu = min(mu * _MU_FACTOR, mu_final)
 
     w = Q @ (zh[:r] + 1j * zh[r:-2])
     t = float(zh[-2])
     return ConvexSolution(weights=w, objective=t,
                           feasibility_residual=_residual(problem, w, t),
-                          status=status)
+                          status=status, newton_steps=barrier.newton_steps)
 
 
 def _slack_form(C_r, V_r, problem):
@@ -157,60 +179,109 @@ def _slack_form(C_r, V_r, problem):
     return S
 
 
-def _center(zh, mu, tol, S) -> bool:
-    """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu`` until
-    the squared Newton decrement is at most 2*tol, updating ``zh`` in place.
+class _Barrier:
+    """The Newton steps of one solve, over buffers allocated once for it.
 
-    Returns False when the stage runs out of steps, no step decreases the
-    barrier or the decrement is negative or NaN, all at the float64 floor.
+    Every product of a step writes into its buffer (``out=``), so a step
+    allocates only its Newton direction, the move along it and the line
+    search's lists.
+    ``newton_steps`` counts the Newton systems solved over every stage.
     """
-    # ndarray.dot, not @: at these sizes @ costs about 1 us more per product
-    m, d, z = len(S), len(zh) - 1, zh[:-1]
-    S_rows = S.reshape(m * (d + 1), d + 1)
-    P = -S[:, :-1, :-1]                 # slack curvatures, contiguous
-    P_flat, P_rows = P.reshape(m, d * d), P.reshape(m * d, d)
-    for _ in range(_MAX_NEWTON_PER_STAGE):
-        Sz = S_rows.dot(zh).reshape(m, d + 1)
-        s = Sz.dot(zh)
-        w2 = 2.0 / s
-        J = Sz[:, :-1] * w2[:, None]    # rows: gradients of log(slack)
-        g = w2.dot(Sz[:, :-1])          # minus the barrier gradient
-        g[-1] += mu
-        H = J.T.dot(J) + w2.dot(P_flat).reshape(d, d)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            H[np.arange(d), np.arange(d)] += 1e-12 * max(1.0, np.trace(H) / d)
-            step = np.linalg.solve(H, g)
-        decrement = g.dot(step)
-        if not decrement / 2.0 > tol:   # a NaN or negative one is no centre
-            return decrement >= 0.0
-        if decrement <= _FULL_STEP:
-            z += step
-            continue
-        # a negative d2 is rounding in the quadratic form of a PSD cap or ball
-        d2 = np.maximum(P_rows.dot(step).reshape(m, d).dot(step) / s, 0.0)
-        alpha = _line_search(J.dot(step), d2, step[-1], mu, -decrement)
-        if alpha == 0.0:
-            return False
-        z += alpha * step
-    return False
+
+    def __init__(self, S):
+        m, d = len(S), S.shape[1] - 1
+        self.S_rows = S.reshape(m * (d + 1), d + 1)
+        P = -S[:, :-1, :-1]                 # slack curvatures, contiguous
+        self.P_flat, self.P_rows = P.reshape(m, d * d), P.reshape(m * d, d)
+        self.Sz, self.s, self.w2 = np.empty((m, d + 1)), np.empty(m), np.empty(m)
+        self.J, self.g = np.empty((m, d)), np.empty(d)
+        self.H, self.curvature = np.empty((d, d)), np.empty(d * d)
+        self.d1, self.q, self.Pstep = np.empty(m), np.empty(m), np.empty((m, d))
+        self.newton_steps = 0
+
+    def center(self, zh, mu, tol) -> bool:
+        """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu``
+        until the squared Newton decrement is at most 2*tol, updating ``zh``
+        in place.
+
+        Returns False when the stage runs out of steps, no step decreases
+        the barrier or the decrement is negative or NaN, all at the float64
+        floor.  A singular Hessian makes LAPACK return NaNs (and raise the
+        invalid flag, which the caller ignores); the NaN decrement then
+        retries the step once on a slightly raised diagonal.
+        """
+        # np.dot, not @: at these sizes @ costs about 1 us more a product
+        S_rows, P_flat, P_rows = self.S_rows, self.P_flat, self.P_rows
+        Sz, s, w2, J, g, H = self.Sz, self.s, self.w2, self.J, self.g, self.H
+        m, d, z = len(s), len(g), zh[:-1]
+        Sz_flat, grad, w2_col = Sz.reshape(-1), Sz[:, :-1], w2[:, None]
+        curvature, JT = self.curvature, J.T
+        curvature_dd = curvature.reshape(d, d)
+        d1, q, Pstep = self.d1, self.q, self.Pstep
+        Pstep_flat = Pstep.reshape(-1)
+        dot, solve = np.dot, _solve
+        for _ in range(_MAX_NEWTON_PER_STAGE):
+            self.newton_steps += 1
+            dot(S_rows, zh, out=Sz_flat)
+            dot(Sz, zh, out=s)
+            np.divide(2.0, s, out=w2)
+            np.multiply(grad, w2_col, out=J)    # rows: gradients of log(slack)
+            dot(w2, grad, out=g)                # minus the barrier gradient
+            g[-1] += mu
+            dot(JT, J, out=H)
+            dot(w2, P_flat, out=curvature)
+            H += curvature_dd
+            step = solve(H, g, signature="dd->d")
+            decrement = g.dot(step)
+            if decrement != decrement:
+                H[np.arange(d), np.arange(d)] += \
+                    1e-12 * max(1.0, np.trace(H) / d)
+                step = solve(H, g, signature="dd->d")
+                decrement = g.dot(step)
+            if not decrement / 2.0 > tol:   # a NaN or negative one is no centre
+                return decrement >= 0.0
+            if decrement <= _FULL_STEP:
+                z += step
+                continue
+            # a negative d2 is rounding in the quadratic form of a PSD cap or
+            # ball; the two products stay apart, as one (2m, d) product rounds
+            # differently
+            dot(P_rows, step, out=Pstep_flat)
+            dot(Pstep, step, out=q)
+            d2 = [max(qi / si, 0.0) for qi, si in zip(q.tolist(), s.tolist())]
+            dot(J, step, out=d1)
+            alpha = _line_search(d1.tolist(), d2, float(step[-1]), mu,
+                                 -float(decrement))
+            if alpha == 0.0:
+                return False
+            z += alpha * step
+        return False
 
 
 def _line_search(d1, d2, dt, mu, slope):
-    """Backtracking from the fraction-to-boundary step.
+    """Backtracking from the fraction-to-boundary step, over lists of floats.
 
     Along z + alpha*step each slack scales by 1 + alpha*d1 - alpha^2*d2, so
     the barrier change is an O(K+L) sum of log1p terms, exact to rounding
-    however large mu*t is.
+    however large mu*t is.  The operations are numpy's on arrays, in its
+    order, but two may round differently in the last bit: libm's log1p
+    against numpy's vectorised one, and an in-order sum against numpy's
+    pairwise one from 8 terms on.  Either can change a trial's outcome only
+    when the Armijo test sits within rounding of its bound.
     """
     # 1/alpha at which each slack reaches zero (0 if it never does)
-    reach = float((np.sqrt(d1 * d1 + 4.0 * d2) - d1).max()) / 2.0
+    reach = max([math.sqrt(a * a + 4.0 * b) - a for a, b in zip(d1, d2)]) / 2.0
     alpha = _TO_BOUNDARY / max(reach, _TO_BOUNDARY)
     for _ in range(_MAX_HALVINGS):
-        change = -mu * alpha * dt - np.log1p(alpha * (d1 - alpha * d2)).sum()
-        if change <= _ARMIJO * alpha * slope:
-            return alpha
+        try:
+            total = 0.0
+            for a, b in zip(d1, d2):
+                total += math.log1p(alpha * (a - alpha * b))
+        except ValueError:      # a slack at or past zero rejects the trial
+            pass
+        else:
+            if -mu * alpha * dt - total <= _ARMIJO * alpha * slope:
+                return alpha
         alpha *= 0.5
     return 0.0
 

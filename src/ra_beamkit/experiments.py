@@ -14,6 +14,7 @@ are used.  ``RA_BEAMKIT_THREADS`` sets the worker count (see ``worker_count``).
 
 import json
 import os
+import sys
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
@@ -220,6 +221,10 @@ _FRACTION4 = np.concatenate([_digits + 48, (_digits + 48) * _significant]
                             ).view(np.uint32).ravel()
 del _i, _j, _z, _first, _head, _quad, _digits, _significant
 _SEPARATORS = np.frombuffer(b"\0\0\0,\0\0\0,\0\0\0\n", np.uint32)
+# fields formatted by Python per pass: each holds about 300 traced bytes
+# (its float, its text and an int64 position per character), so a pass holds
+# about 150 KiB however many of a block's fields fall back
+_FALLBACK_FIELDS = 512
 
 
 def _format_rows(columns) -> str:
@@ -263,18 +268,20 @@ def _format_rows(columns) -> str:
     for j in (3, 2, 1, 0):
         cells[:, 2 + j] = _FRACTION4.take(quads[j] + 10000 * trailing)
         trailing &= quads[j] == 0
+    del quads, trailing
     cells.reshape(-1, 3, 7)[:, :, -1] = _SEPARATORS
 
     slow = np.flatnonzero(~fast)
-    if slow.size:
-        text = ["%.17g" % v for v in x[slow].tolist()]
+    for first in range(0, slow.size, _FALLBACK_FIELDS):
+        fields = slow[first:first + _FALLBACK_FIELDS]
+        text = ["%.17g" % v for v in x[fields].tolist()]
         lengths = np.array([len(t) for t in text])
-        cells[slow, :-1] = 0
-        at = np.repeat(slow * 28 - np.cumsum(lengths) + lengths, lengths)
+        cells[fields, :-1] = 0
+        at = np.repeat(fields * 28 - np.cumsum(lengths) + lengths, lengths)
         at += np.arange(at.size)
         cells.view(np.uint8).reshape(-1)[at] = np.frombuffer(
             "".join(text).encode(), np.uint8)
-    del cells
+    del cells, x
     return buf.translate(None, b"\0").decode("ascii")
 
 
@@ -401,7 +408,8 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
 
     Returns the best report per scheme.  Files written into ``output_dir``:
     ``report_<scheme>.json`` and ``pattern_<scheme>.csv`` per scheme plus
-    ``summary.csv``.
+    ``summary.csv``.  A scheme whose solves, over all its seeds, left any
+    weight-step subproblem uncertified gets one line on stderr with the count.
     """
     workers = worker_count()
     os.makedirs(output_dir, exist_ok=True)
@@ -413,6 +421,11 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
     for scheme in spec.schemes:
         group = [r for r in reports if r.scheme == scheme]
         best[scheme] = best_report(group)
+        uncertified = sum(r.nonoptimal_subproblems for r in group)
+        if uncertified:
+            print(f"warning: {scheme}: {uncertified} weight-step subproblems "
+                  f"ended uncertified (status 'max_iterations')",
+                  file=sys.stderr)
 
     full = full_array_gain(spec.pattern, spec.geometry)
     summary_rows = []

@@ -1,8 +1,10 @@
 import csv
+import dataclasses
 import io
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, array_gain)
-from ra_beamkit import experiments
+from ra_beamkit import experiments, sca
 from ra_beamkit import scenario as scenario_mod
 from ra_beamkit.cli import main
 from ra_beamkit.experiments import (gain_to_db, load_report_state,
@@ -172,6 +174,45 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch):
 
     monkeypatch.setattr(experiments, "run_scenario", boom)
     assert main(["run", scenario, "--out", str(tmp_path / "o")]) == 2
+
+
+def test_run_reports_uncertified_subproblems_on_stderr(tmp_path, capsys,
+                                                      monkeypatch):
+    # one stderr line per scheme whose subproblems, over all its seeds, were
+    # not all certified; no file and no byte of stdout changes
+    scenario = write_scenario(tmp_path, schemes=["FOA", "IA"])
+    assert main(["run", scenario, "--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    assert plain.err == ""
+
+    real_run, real_solve = experiments.run_single, sca.solve_epigraph
+    running, flagged = [], Counter()
+
+    def tagging(spec, scheme, seed, entropy=()):
+        running.append(scheme)
+        return real_run(spec, scheme, seed, entropy)
+
+    def foa_uncertified(problem):
+        sol = real_solve(problem)
+        if running[-1] != "FOA":
+            return sol
+        flagged[running[-1]] += 1
+        return dataclasses.replace(sol, status="max_iterations")
+
+    monkeypatch.setattr(experiments, "run_single", tagging)
+    monkeypatch.setattr(sca, "solve_epigraph", foa_uncertified)
+    assert main(["run", scenario, "--out", str(tmp_path / "flagged")]) == 0
+    out = capsys.readouterr()
+    assert running.count("FOA") == 2 and flagged["FOA"] > 0
+    assert out.err.splitlines() == [
+        f"warning: FOA: {flagged['FOA']} weight-step subproblems ended "
+        f"uncertified (status 'max_iterations')"]
+    assert out.out == plain.out
+    files = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert files == sorted(p.name for p in (tmp_path / "flagged").iterdir())
+    for name in files:
+        assert (tmp_path / "flagged" / name).read_bytes() == \
+            (tmp_path / "plain" / name).read_bytes()
 
 
 def test_pattern_subcommand_stdout(tmp_path, capsys):
@@ -582,6 +623,26 @@ def test_format_rows_peak_fits_its_row_budget():
         tracemalloc.stop()
     assert psi.size == rows
     assert peak <= experiments._FORMAT_ROW_BYTES * rows
+
+
+def test_format_rows_fallback_fits_its_row_budget():
+    # the same block with every gain at 1e3 or more, as large arrays reach,
+    # so that a whole column is formatted by Python: same budget, same bytes
+    rows = experiments.pattern_block_rows(15)
+    tracemalloc.start()
+    try:
+        psi, gains = sample_gain_pattern(_random_state(15), RadiationPattern(),
+                                         ArrayGeometry(15), 0.001, 0, rows)
+        gains = 1e3 + 100.0 * gains
+        tracemalloc.reset_peak()
+        db = gain_to_db(gains)
+        text = experiments._format_rows((psi, gains, db))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= experiments._FORMAT_ROW_BYTES * rows
+    assert text == "".join("%.17g,%.17g,%.17g\n" % row for row in
+                           zip(psi.tolist(), gains.tolist(), db.tolist()))
 
 
 @pytest.mark.parametrize("k", [1, 8, 16, 20])

@@ -1,3 +1,6 @@
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -343,16 +346,96 @@ def test_full_step_rule_is_exact(monkeypatch, seed):
     assert ruled.objective == searched.objective
 
 
-def test_negative_decrement_is_not_certified():
-    # a far-pair weight step under a 1e-15 cap: rounding makes the first
-    # Newton decrement negative, which once ended the stage as converged and
-    # certified the start point (w = 0) as "optimal"
+def far_pair_under_tiny_cap():
+    """A far-pair weight step under a 1e-15 cap, which no solve certifies."""
     rotations = np.random.default_rng(5).uniform(-100, 100, 15)
     w = random_initial_weights(15, 5)
     V = composite_response(RadiationPattern(), ArrayGeometry(15), rotations,
                            [60.0, 140.0, 20.0, 160.0])
     inner = V[:2].conj() @ w
-    sol = solve_epigraph(EpigraphProblem(V[:2] * inner[:, None],
-                                         np.abs(inner) ** 2, V[2:],
-                                         quad_cap=1e-15))
+    return EpigraphProblem(V[:2] * inner[:, None], np.abs(inner) ** 2, V[2:],
+                           quad_cap=1e-15)
+
+
+def test_negative_decrement_is_not_certified():
+    # rounding makes the first Newton decrement negative, which once ended
+    # the stage as converged and certified the start point (w = 0) as
+    # "optimal"
+    sol = solve_epigraph(far_pair_under_tiny_cap())
     assert sol.status == "max_iterations"
+
+
+def test_singular_hessian_retries_on_a_raised_diagonal(monkeypatch):
+    # LAPACK reports a singular Hessian by NaNs and the invalid flag: the
+    # step is solved again on a raised diagonal, the solve still certifies,
+    # and the flag raises no RuntimeWarning
+    real = convex_core._solve
+    seen = []
+
+    def singular_once(H, g, **kwargs):
+        seen.append(H.copy())
+        if len(seen) == 1:
+            return real(np.zeros_like(H), g, **kwargs)
+        return real(H, g, **kwargs)
+
+    monkeypatch.setattr(convex_core, "_solve", singular_once)
+    problem = weight_step_problem(15, 2, 2, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_epigraph(problem)
+    assert sol.status == "optimal"
+    assert certified_gap(problem, sol) <= 1e-6
+    assert len(seen) == sol.newton_steps + 1
+    raised = seen[1] - seen[0]
+    assert np.all(np.diag(raised) > 0)
+    assert not np.any(raised - np.diag(np.diag(raised)))
+
+
+@pytest.mark.parametrize("case", ["weight-step", "many-constraints",
+                                  "uncertified"])
+def test_newton_steps_count_the_lapack_solves(monkeypatch, case):
+    problem = far_pair_under_tiny_cap() if case == "uncertified" else \
+        weight_step_problem(*{"weight-step": (15, 2, 2, 0),
+                              "many-constraints": (30, 5, 6, 1)}[case])
+    real, solves = convex_core._solve, []
+
+    def counting(H, g, **kwargs):
+        solves.append(1)
+        return real(H, g, **kwargs)
+
+    monkeypatch.setattr(convex_core, "_solve", counting)
+    sol = solve_epigraph(problem)
+    assert sol.newton_steps == len(solves) > 0
+
+
+def numpy_line_search(d1, d2, dt, mu, slope):
+    """The line search on numpy arrays, as it was before it moved to Python
+    floats: the reference for the one in convex_core."""
+    reach = float((np.sqrt(d1 * d1 + 4.0 * d2) - d1).max()) / 2.0
+    alpha = convex_core._TO_BOUNDARY / max(reach, convex_core._TO_BOUNDARY)
+    for _ in range(convex_core._MAX_HALVINGS):
+        change = -mu * alpha * dt - np.log1p(alpha * (d1 - alpha * d2)).sum()
+        if change <= convex_core._ARMIJO * alpha * slope:
+            return alpha
+        alpha *= 0.5
+    return 0.0
+
+
+_direction = st.floats(-1e3, 1e3)
+
+
+@settings(max_examples=300, deadline=None)
+@given(terms=st.lists(st.tuples(_direction, st.floats(0.0, 1e3)), min_size=1,
+                      max_size=12),
+       dt=_direction, mu=st.floats(1e-3, 1e9), slope=st.floats(-1e3, 0.0),
+       to_boundary=st.sampled_from([0.99, 1.0, 2.5]))
+def test_scalar_line_search_matches_numpy(terms, dt, mu, slope, to_boundary):
+    # a first trial past 0.99 of the way may reach or cross a slack's zero:
+    # numpy's log1p gives -inf or NaN there, math.log1p raises, and both
+    # reject the trial
+    d1, d2 = (np.array(c) for c in zip(*terms))
+    with mock.patch.object(convex_core, "_TO_BOUNDARY", to_boundary):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            expected = numpy_line_search(d1, d2, dt, mu, slope)
+        assert convex_core._line_search(d1.tolist(), d2.tolist(), dt, mu,
+                                        slope) == expected
