@@ -15,8 +15,7 @@ import json
 import sys
 
 from . import experiments
-from .scenario import (ScenarioError, _replace_field, load_scenario,
-                       override_spec)
+from .scenario import ScenarioError, _replace_field, load_scenario
 
 EXIT_OK = 0
 EXIT_SCHEMA = 1
@@ -33,8 +32,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="solve one scenario and emit reports")
     run.add_argument("scenario")
     run.add_argument("--out", default="out")
-    run.add_argument("--seed-count", type=int, default=None)
-    run.add_argument("--schemes", default=None,
+    run.add_argument("--seed-count", type=int)
+    run.add_argument("--schemes", type=lambda value: value.split(","),
                      help="comma-separated subset of ra,foa,ia")
 
     sweep = sub.add_parser("sweep", help="sweep one field over random scenarios")
@@ -58,8 +57,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = load_scenario(args.scenario)
-    schemes = None if args.schemes is None else args.schemes.split(",")
-    spec = override_spec(spec, schemes=schemes, seed_count=args.seed_count)
+    if args.schemes is not None:
+        spec = _replace_field(spec, "schemes", args.schemes, "--schemes")
+    if args.seed_count is not None:
+        spec = _replace_field(spec, "seeds", args.seed_count, "--seed-count")
     experiments.run_scenario(spec, args.out)
     return EXIT_OK
 

@@ -403,6 +403,13 @@ def load_report_state(path, num_antennas=None):
 # ---------------------------------------------------------------------------
 # top-level experiment entry points
 
+def _warn_uncertified(scheme, count):
+    """The stderr line for a scheme that left subproblems uncertified."""
+    if count:
+        print(f"warning: {scheme}: {count} weight-step subproblems "
+              f"ended uncertified (status 'max_iterations')", file=sys.stderr)
+
+
 def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
     """Solve every scheme at every seed; write reports, patterns, summary.
 
@@ -421,11 +428,7 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
     for scheme in spec.schemes:
         group = [r for r in reports if r.scheme == scheme]
         best[scheme] = best_report(group)
-        uncertified = sum(r.nonoptimal_subproblems for r in group)
-        if uncertified:
-            print(f"warning: {scheme}: {uncertified} weight-step subproblems "
-                  f"ended uncertified (status 'max_iterations')",
-                  file=sys.stderr)
+        _warn_uncertified(scheme, sum(r.nonoptimal_subproblems for r in group))
 
     full = full_array_gain(spec.pattern, spec.geometry)
     summary_rows = []
@@ -472,13 +475,14 @@ def _sweep_cell_task(task):
         len(spec.interference_angles_deg))
     cell_spec = replace(spec, desired_angles_deg=desired,
                         interference_angles_deg=interference)
-    out = {}
+    gains, uncertified = {}, {}
     for scheme in spec.schemes:
         reports = [run_single(cell_spec, scheme, seed,
                               entropy=(base_seed, value_index, scenario_index))
                    for seed in spec.seeds]
-        out[scheme] = best_report(reports).min_desired_gain
-    return out
+        gains[scheme] = best_report(reports).min_desired_gain
+        uncertified[scheme] = sum(r.nonoptimal_subproblems for r in reports)
+    return gains, uncertified
 
 
 def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
@@ -492,6 +496,7 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
     Each value gets the checks of the scenario file key it replaces, no value
     may repeat, and at most ``MAX_TASKS`` cells are queued; the messages name
     ``--values`` and ``--scenarios``, the CLI flags that carry them.
+    Uncertified subproblems are reported on stderr as by ``run_scenario``.
     """
     if field_name not in SWEEP_FIELDS:
         raise ScenarioError(
@@ -509,11 +514,13 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
     os.makedirs(output_dir, exist_ok=True)
     tasks = [(s, vi, j, base_seed) for vi, s in enumerate(swept)
              for j in range(num_scenarios)]
-    cells = _pool_map(_sweep_cell_task, tasks, workers)
+    gains, uncertified = zip(*_pool_map(_sweep_cell_task, tasks, workers))
+    for scheme in spec.schemes:
+        _warn_uncertified(scheme, sum(u[scheme] for u in uncertified))
 
     results = {}
     for vi, value in enumerate(values):
-        rows = cells[vi * num_scenarios:(vi + 1) * num_scenarios]
+        rows = gains[vi * num_scenarios:(vi + 1) * num_scenarios]
         results[value] = {
             scheme: float(np.mean([gain_to_db(r[scheme]) for r in rows]))
             for scheme in spec.schemes}

@@ -226,11 +226,3 @@ def load_scenario(path) -> ScenarioSpec:
             raise ScenarioError(f"invalid JSON in scenario file: {exc}") from exc
     return parse_scenario(doc)
 
-
-def override_spec(spec: ScenarioSpec, schemes=None, seed_count=None) -> ScenarioSpec:
-    """Apply CLI-level overrides on top of a parsed spec."""
-    if schemes is not None:
-        spec = _replace_field(spec, "schemes", list(schemes), "--schemes")
-    if seed_count is not None:
-        spec = _replace_field(spec, "seeds", seed_count, "--seed-count")
-    return spec

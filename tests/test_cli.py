@@ -3,9 +3,12 @@ import dataclasses
 import io
 import json
 import math
+import re
+import shlex
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +22,12 @@ from ra_beamkit.cli import main
 from ra_beamkit.experiments import (gain_to_db, load_report_state,
                                     sample_gain_pattern, write_pattern_csv)
 from ra_beamkit.scenario import MAX_ANTENNAS
+
+ROOT = Path(__file__).resolve().parents[1]
+RUN_FILES = ["summary.csv"] + [f"{kind}_{scheme}.{ext}"
+                               for scheme in ("ra", "foa", "ia")
+                               for kind, ext in (("report", "json"),
+                                                 ("pattern", "csv"))]
 
 
 @pytest.fixture(autouse=True)
@@ -110,13 +119,20 @@ def test_run_determinism(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-def test_schemes_and_seed_count_flags(tmp_path):
+def test_schemes_and_seed_count_flags(tmp_path, monkeypatch):
     scenario = write_scenario(tmp_path)
     out = tmp_path / "out"
     assert main(["run", scenario, "--out", str(out), "--schemes", "foa",
                  "--seed-count", "1"]) == 0
     assert (out / "report_foa.json").exists()
     assert not (out / "report_ra.json").exists()
+    # the flags replace the file's keys as a file would set them
+    specs = []
+    monkeypatch.setattr(experiments, "run_scenario",
+                        lambda spec, output_dir: specs.append(spec))
+    assert main(["run", scenario, "--schemes", "ia,ra",
+                 "--seed-count", "3"]) == 0
+    assert (specs[0].schemes, specs[0].seeds) == (("IA", "RA"), (0, 1, 2))
 
 
 def test_malformed_angle_exits_1(tmp_path, capsys):
@@ -176,12 +192,11 @@ def test_solver_failure_exits_2(tmp_path, monkeypatch):
     assert main(["run", scenario, "--out", str(tmp_path / "o")]) == 2
 
 
-def test_run_reports_uncertified_subproblems_on_stderr(tmp_path, capsys,
-                                                      monkeypatch):
-    # one stderr line per scheme whose subproblems, over all its seeds, were
-    # not all certified; no file and no byte of stdout changes
-    scenario = write_scenario(tmp_path, schemes=["FOA", "IA"])
-    assert main(["run", scenario, "--out", str(tmp_path / "plain")]) == 0
+def _foa_solves_marked_uncertified(tmp_path, capsys, monkeypatch, argv):
+    """Run ``argv`` as is, then with every FOA weight-step subproblem given
+    the status 'max_iterations'.  Only stderr may change, by one line that
+    counts them; returns how many FOA solves ran."""
+    assert main(argv + ["--out", str(tmp_path / "plain")]) == 0
     plain = capsys.readouterr()
     assert plain.err == ""
 
@@ -201,9 +216,9 @@ def test_run_reports_uncertified_subproblems_on_stderr(tmp_path, capsys,
 
     monkeypatch.setattr(experiments, "run_single", tagging)
     monkeypatch.setattr(sca, "solve_epigraph", foa_uncertified)
-    assert main(["run", scenario, "--out", str(tmp_path / "flagged")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "flagged")]) == 0
     out = capsys.readouterr()
-    assert running.count("FOA") == 2 and flagged["FOA"] > 0
+    assert flagged["FOA"] > 0
     assert out.err.splitlines() == [
         f"warning: FOA: {flagged['FOA']} weight-step subproblems ended "
         f"uncertified (status 'max_iterations')"]
@@ -213,6 +228,31 @@ def test_run_reports_uncertified_subproblems_on_stderr(tmp_path, capsys,
     for name in files:
         assert (tmp_path / "flagged" / name).read_bytes() == \
             (tmp_path / "plain" / name).read_bytes()
+    return running.count("FOA")
+
+
+def test_run_reports_uncertified_subproblems_on_stderr(tmp_path, capsys,
+                                                      monkeypatch):
+    # one stderr line per scheme whose subproblems, over all its seeds, were
+    # not all certified; no file and no byte of stdout changes
+    scenario = write_scenario(tmp_path, schemes=["FOA", "IA"])
+    assert _foa_solves_marked_uncertified(tmp_path, capsys, monkeypatch,
+                                          ["run", scenario]) == 2
+
+
+def test_sweep_reports_uncertified_subproblems_on_stderr(tmp_path, capsys,
+                                                        monkeypatch):
+    # run's line, counted over every cell and seed; run_sweep's result, like
+    # sweep.csv and stdout, does not change
+    scenario = write_scenario(tmp_path, schemes=["FOA", "IA"])
+    real_sweep, results = experiments.run_sweep, []
+    monkeypatch.setattr(experiments, "run_sweep",
+                        lambda *a: results.append(real_sweep(*a)))
+    argv = ["sweep", scenario, "--field", "num_antennas", "--values", "4,5",
+            "--scenarios", "2"]
+    assert _foa_solves_marked_uncertified(tmp_path, capsys, monkeypatch,
+                                          argv) == 2 * 2 * 2
+    assert results[0] == results[1]
 
 
 def test_pattern_subcommand_stdout(tmp_path, capsys):
@@ -254,8 +294,8 @@ def test_sweep_csv_and_determinism(tmp_path):
 
 
 def test_sweep_single_cell_matches_run(tmp_path):
-    # a degenerate sweep (one value, one scenario) must agree with run_scenario
-    # on the same generated angles; here we just check it emits sane values
+    # a degenerate sweep (one value, one scenario) writes one row per scheme,
+    # and the rotating scheme is not behind the isotropic one
     scenario = write_scenario(tmp_path, seeds=1)
     out = tmp_path / "sweep"
     assert main(["sweep", scenario, "--field", "eta_max_db", "--values",
@@ -286,6 +326,39 @@ def test_sweep_bad_values_exit_1(tmp_path):
     scenario = write_scenario(tmp_path)
     assert main(["sweep", scenario, "--field", "num_antennas", "--values",
                  "abc", "--out", str(tmp_path / "o")]) == 1
+
+
+def _paper_experiments():
+    """The commands of the README's "Paper experiments" block, as argv."""
+    readme = (ROOT / "README.md").read_text()
+    block = readme.split("## Paper experiments", 1)[1]
+    block = block.split("```sh", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:]
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("ra-beamkit ")]
+
+
+def test_readme_and_scenarios_directory_agree():
+    # every scenario file has a README command, and every scenarios/ path
+    # the README names exists
+    readme = (ROOT / "README.md").read_text()
+    for path in re.findall(r"scenarios/[\w.-]*\w", readme):
+        assert (ROOT / path).exists(), path
+    files = {p.relative_to(ROOT).as_posix()
+             for p in (ROOT / "scenarios").glob("*.json")}
+    assert files == {argv[1] for argv in _paper_experiments()}
+
+
+def test_paper_experiments_run(tmp_path):
+    # each README command at its smallest size: the repeated flags win
+    for argv in _paper_experiments():
+        smallest = {"run": ["--seed-count", "1"],
+                    "sweep": ["--values", "3", "--scenarios", "1"]}[argv[0]]
+        out = tmp_path / Path(argv[1]).stem
+        assert main([argv[0], str(ROOT / argv[1]), *argv[2:], *smallest,
+                     "--out", str(out)]) == 0, argv
+        for name in RUN_FILES if argv[0] == "run" else ["sweep.csv"]:
+            assert (out / name).stat().st_size > 0, (argv, name)
 
 
 def test_pattern_stdout_matches_out_file(tmp_path, capsys):
@@ -339,6 +412,10 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     (["sweep", "--field", "eta_max_db", "--values", "-150"], "--values"),
     (["run", "--schemes", ""], "--schemes"),
     (["sweep", "--field", "spacing_wavelengths", "--values", "1e7"], "--values"),
+    (["sweep", "--field", "num_antennas", "--values", ","], "--values"),
+    (["pattern", "--step", "0"], "--step"),
+    (["run", "--seed-count", "0"], "--seed-count"),
+    (["run", "--schemes", "bogus"], "--schemes"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # before: --step inf and --values inf exited 0, 4.7 solved N = 4,

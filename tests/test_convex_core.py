@@ -408,6 +408,21 @@ def test_newton_steps_count_the_lapack_solves(monkeypatch, case):
     assert sol.newton_steps == len(solves) > 0
 
 
+@pytest.mark.parametrize("stop", ["line-search-fails", "stage-out-of-steps"])
+def test_stage_that_cannot_centre_is_not_certified(monkeypatch, stop):
+    # a backtracking search that finds no decrease, and a stage that runs
+    # out of Newton steps, both end the solve at its last feasible point;
+    # either ends the first stage at its first step, which needs a search
+    if stop == "line-search-fails":
+        monkeypatch.setattr(convex_core, "_line_search", lambda *a: 0.0)
+    else:
+        monkeypatch.setattr(convex_core, "_MAX_NEWTON_PER_STAGE", 1)
+    sol = solve_epigraph(weight_step_problem(15, 2, 2, 0))
+    assert sol.status == "max_iterations"
+    assert sol.feasibility_residual == 0.0
+    assert sol.newton_steps == 1
+
+
 def numpy_line_search(d1, d2, dt, mu, slope):
     """The line search on numpy arrays, as it was before it moved to Python
     floats: the reference for the one in convex_core."""

@@ -18,8 +18,7 @@ from ra_beamkit.experiments import report_to_dict, run_single
 from ra_beamkit.pso import PsoConfig
 from ra_beamkit.sca import ScaConfig
 from ra_beamkit.scenario import (MAX_ANTENNAS, MAX_PATTERN_SIZE, ScenarioError,
-                                 ScenarioSpec, load_scenario, override_spec,
-                                 parse_scenario)
+                                 ScenarioSpec, load_scenario, parse_scenario)
 
 
 def write(tmp_path, doc):
@@ -145,6 +144,10 @@ def test_scheme_normalization():
     assert spec.schemes == ("RA", "IA")
     with pytest.raises(ScenarioError, match="schemes"):
         parse_scenario({**MINIMAL, "schemes": ["XYZ"]})
+    for schemes in ("RA", []):
+        with pytest.raises(ScenarioError,
+                           match="'schemes'.*must be a non-empty list"):
+            parse_scenario({**MINIMAL, "schemes": schemes})
     # a repeat would solve and write every seed twice
     with pytest.raises(ScenarioError, match="'schemes'.*repeats"):
         parse_scenario({**MINIMAL, "schemes": ["FOA", "foa"]})
@@ -160,6 +163,10 @@ def test_non_numeric_values_rejected():
         parse_scenario({**MINIMAL, "num_antennas": 2.5})
     with pytest.raises(ScenarioError, match="desired_angles_deg"):
         parse_scenario({"desired_angles_deg": ["x"]})
+    with pytest.raises(ScenarioError, match="^'pattern' must be a JSON object"):
+        parse_scenario({**MINIMAL, "pattern": 5})
+    with pytest.raises(ScenarioError, match="^scenario must be a JSON object"):
+        parse_scenario([60.0])
 
 
 def test_invalid_json_reported(tmp_path):
@@ -167,17 +174,6 @@ def test_invalid_json_reported(tmp_path):
     path.write_text("{not json")
     with pytest.raises(ScenarioError, match="invalid JSON"):
         load_scenario(path)
-
-
-def test_override_spec():
-    spec = parse_scenario(MINIMAL)
-    out = override_spec(spec, schemes=["ra"], seed_count=3)
-    assert out.schemes == ("RA",)
-    assert out.seeds == (0, 1, 2)
-    with pytest.raises(ScenarioError):
-        override_spec(spec, schemes=["bogus"])
-    with pytest.raises(ScenarioError):
-        override_spec(spec, seed_count=0)
 
 
 @pytest.mark.parametrize("doc,key", [
