@@ -153,11 +153,7 @@ def element_gain_dbi(pattern: RadiationPattern, steer_deg, out=None):
     shape, receives the gain in place of a new array; it may be
     ``steer_deg`` itself.
     """
-    if out is None:
-        gain = np.array(steer_deg, dtype=float)     # the only block allocated
-        gain -= 90.0
-    else:
-        gain = np.subtract(steer_deg, 90.0, out=out, dtype=float)
+    gain = np.asarray(np.subtract(steer_deg, 90.0, out=out, dtype=float))
     gain /= pattern.beamwidth_3db_deg
     np.square(gain, out=gain)
     gain *= 12.0

@@ -7,7 +7,8 @@ Subcommands::
                      [--scenarios M] [--out DIR] [--base-seed S]
     ra-beamkit pattern <scenario.json> --state report.json [--step DEG] [--out FILE]
 
-Exit codes: 0 success, 1 scenario schema error, 2 solver failure, 3 I/O error.
+Exit codes: 0 success, 1 scenario schema error or bad command line, 2 solver
+failure, 3 I/O error.
 """
 
 import argparse
@@ -23,8 +24,16 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit ``EXIT_SCHEMA``, not 2; subparsers share the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ra-beamkit",
         description="Max-min beamforming for rotatable-antenna arrays")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -189,41 +189,33 @@ def _divmod(v, base):
     return q, v - q * base
 
 
+def _words(texts, chars=4):
+    """The texts, each NUL-padded to ``chars`` bytes, as uint32 words."""
+    return np.array(texts, f"S{chars}").view(np.uint32)
+
+
 # a field's cell, in 7 words: the sign and the integer part, or "0." (1);
 # the point, or the leading fraction zeros and the first digit (1); the
-# other fraction digits, left-aligned in 16 with trailing zeros as NULs (4);
+# other fraction digits, left-aligned in 16 with trailing zeros stripped (4);
 # the separator (1).  The head words are looked up by a code: the integer part,
-# or for e < 0, 1000 + 10 * leading zeros + first digit.  Tables are built
-# from small arrays: thousands of bytes objects would leave interpreter heap
-# behind.
+# or for e < 0, 1000 + 10 * leading zeros + first digit.
 _SHIFT10 = 10 ** np.arange(3, dtype=np.uint64)
-_i, _j = np.arange(1000), np.arange(4)
-_z, _first = np.divmod(np.arange(40), 10)
-_head = np.zeros((2, 2, 1040, 4), np.uint8)
+_INTEGERS = [str(i) for i in range(1000)] + ["0."] * 40
+_LEADING = ["0" * z + str(f) for z in range(4) for f in range(10)]
+_QUADS = ["%04d" % v for v in range(10000)]
 # _SIGN_INTEGER[negative * 1040 + code]
-_head[0, 1, :, 0] = ord("-")
-_head[0, :, :1000, 1:] = (np.stack([_i // 100, _i // 10 % 10, _i % 10], 1)
-                          + 48) * (_i[:, None] >= [100, 10, 0])
-_head[0, :, 1000:, 1:3] = (ord("0"), ord("."))
+_SIGN_INTEGER = _words(_INTEGERS + ["-" + t for t in _INTEGERS])
 # _POINT[fraction * 1040 + code]
-_head[1, 1, :1000, 0] = ord(".")
-_head[1, :, 1000:] = np.where(_j < _z[:, None], 48,
-                              (_j == _z[:, None]) * (_first[:, None] + 48))
-_SIGN_INTEGER, _POINT = _head.view(np.uint32).reshape(2, -1)
+_POINT = _words([""] * 1000 + _LEADING + ["."] * 1000 + _LEADING)
 # _FRACTION4[v]: the four digits of v < 10**4; at v + 10**4 with trailing
-# zeros as NULs, for the last nonzero quad of a fraction and the zero quads
+# zeros stripped, for the last nonzero quad of a fraction and the zero quads
 # after it
-_quad = np.arange(10000, dtype=np.int16)
-_digits = np.stack([_quad // 10 ** (3 - b) % 10 for b in range(4)],
-                   axis=1).astype(np.uint8)
-_significant = np.maximum.accumulate(_digits[:, ::-1], axis=1)[:, ::-1] > 0
-_FRACTION4 = np.concatenate([_digits + 48, (_digits + 48) * _significant]
-                            ).view(np.uint32).ravel()
-del _i, _j, _z, _first, _head, _quad, _digits, _significant
-_SEPARATORS = np.frombuffer(b"\0\0\0,\0\0\0,\0\0\0\n", np.uint32)
-# fields formatted by Python per pass: each holds about 300 traced bytes
-# (its float, its text and an int64 position per character), so a pass holds
-# about 150 KiB however many of a block's fields fall back
+_FRACTION4 = _words(_QUADS + [q.rstrip("0") for q in _QUADS])
+_SEPARATORS = _words([",", ",", "\n"])
+del _INTEGERS, _LEADING, _QUADS
+# fields formatted by Python per pass: each holds about 120 traced bytes
+# (its float, its text and its 24 NUL-padded bytes), so a pass holds about
+# 60 KiB however many of a block's fields fall back
 _FALLBACK_FIELDS = 512
 
 
@@ -274,13 +266,10 @@ def _format_rows(columns) -> str:
     slow = np.flatnonzero(~fast)
     for first in range(0, slow.size, _FALLBACK_FIELDS):
         fields = slow[first:first + _FALLBACK_FIELDS]
-        text = ["%.17g" % v for v in x[fields].tolist()]
-        lengths = np.array([len(t) for t in text])
-        cells[fields, :-1] = 0
-        at = np.repeat(fields * 28 - np.cumsum(lengths) + lengths, lengths)
-        at += np.arange(at.size)
-        cells.view(np.uint8).reshape(-1)[at] = np.frombuffer(
-            "".join(text).encode(), np.uint8)
+        # "%.17g" writes at most 24 characters: the six words before the
+        # separator
+        cells[fields, :-1] = _words(
+            ["%.17g" % v for v in x[fields].tolist()], 24).reshape(-1, 6)
     del cells, x
     return buf.translate(None, b"\0").decode("ascii")
 

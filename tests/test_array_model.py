@@ -4,7 +4,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
-                                    RadiationPattern, Scenario, array_gain,
+                                    RadiationPattern, RotationBounds,
+                                    Scenario, array_gain,
                                     composite_response, effective_gain_vector,
                                     element_gain_dbi, element_gain_linear,
                                     full_array_gain, grid_gain,
@@ -301,6 +302,15 @@ class TestStateAndScenario:
     def test_state_shape_checks(self):
         with pytest.raises(ValueError):
             BeamformerState(np.ones(3), np.zeros(4))
+
+    @pytest.mark.parametrize("build,message", [
+        (lambda: ArrayGeometry(0), "num_antennas"),
+        (lambda: RotationBounds(1.0, 1.0), "theta_min_deg"),
+        (lambda: BeamformerState(np.ones((2, 3)), np.zeros(3)), "1-D"),
+    ])
+    def test_constructors_reject_bad_input(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build()
 
     def test_scenario_validation(self):
         sc = Scenario((55.0, 60.0), (20.0, 160.0), -10.0)

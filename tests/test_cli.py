@@ -392,6 +392,21 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     assert path.read_text() == expected
 
 
+def _exit_code(argv):
+    """``main``'s exit code, also where argparse exits by itself."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
+                                  ["sweep", "--help"], ["pattern", "--help"]])
+def test_help_exits_0(capsys, argv):
+    assert _exit_code(argv) == 0
+    assert "usage: ra-beamkit" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("argv,flag", [
     (["pattern", "--step", "inf"], "--step"),
     (["pattern", "--step", "1e-12"], "--step"),       # past MAX_PATTERN_SIZE
@@ -416,6 +431,15 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     (["pattern", "--step", "0"], "--step"),
     (["run", "--seed-count", "0"], "--seed-count"),
     (["run", "--schemes", "bogus"], "--schemes"),
+    # usage errors that argparse finds itself
+    (["run", "--seed-count", "abc"], "--seed-count"),
+    (["sweep", "--field", "eta_max_db", "--values", "-5", "--scenarios",
+      "two"], "--scenarios"),
+    (["sweep", "--field", "eta_max_db", "--values", "-5", "--base-seed",
+      "1.5"], "--base-seed"),
+    (["sweep", "--values", "-5"], "--field"),
+    (["pattern"], "--state"),
+    (["run", "--bogus"], "--bogus"),
 ])
 def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # before: --step inf and --values inf exited 0, 4.7 solved N = 4,
@@ -423,15 +447,18 @@ def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     # --schemes foa,FOA solved and wrote every seed twice; --values -5,-5,-5.0
     # solved each copy and wrote the last one's cells three times; eta caps
     # of 4000 and -150 dB exited 2 from the solver; --schemes "" solved
-    # every scheme; a spacing of 1e7 wavelengths swept on float64 noise
+    # every scheme; a spacing of 1e7 wavelengths swept on float64 noise;
+    # the usage errors exited 2, the code of a solver failure
     scenario = write_scenario(tmp_path)
     state = tmp_path / "report.json"
     state.write_text(json.dumps({"scheme": "FOA", "final_state": {
         "weights_real": [0.4] * 6, "weights_imag": [0.0] * 6,
         "rotations_deg": [0.0] * 6}}))
-    extra = ["--state", str(state)] if argv[0] == "pattern" else []
+    extra = ["--state", str(state)] \
+        if argv[0] == "pattern" and flag != "--state" else []
     out = tmp_path / "o"
-    assert main([argv[0], scenario, *extra, *argv[1:], "--out", str(out)]) == 1
+    assert _exit_code([argv[0], scenario, *extra, *argv[1:],
+                       "--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
@@ -680,6 +707,23 @@ _numbers = st.one_of(
 @example([(1.0, 100.0, 180.0), (0.001, -0.0001, 0.5), (0.0, 1e3, math.nan),
           (-0.0, 5e-5, -math.inf)])
 def test_format_rows_matches_percent_17g(rows):
+    columns = [np.array(c, dtype=float) for c in zip(*rows)]
+    expected = "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
+    assert experiments._format_rows(columns) == expected
+
+
+def test_format_rows_writes_every_head_word():
+    # every entry of the head tables, which the draws above only sample:
+    # each integer part with and without a point, and each run of leading
+    # fraction zeros with each first digit, at both signs.  f * 10**-(z + 1)
+    # may be written with first digit f - 1 ("0.00069999999999999999"), so
+    # (f + 0.5) * 10**-(z + 1) is written too
+    values = [v for i in range(1, 1000) for v in (i, i + 0.5)]
+    values += [float(f"{f}{half}e-{z + 1}") for f in range(1, 10)
+               for z in range(4) for half in ("", ".5")]
+    values += [-v for v in values]
+    rows = list(zip(*[iter(values)] * 3))
+    assert len(rows) * 3 == len(values)
     columns = [np.array(c, dtype=float) for c in zip(*rows)]
     expected = "".join("%.17g,%.17g,%.17g\n" % row for row in rows)
     assert experiments._format_rows(columns) == expected

@@ -237,6 +237,8 @@ def test_input_validation():
         EpigraphProblem([np.ones(2)], [0.0], [], quad_cap=0.0)
     with pytest.raises(ValueError):
         EpigraphProblem([np.ones(2)], [0.0], [np.ones(3)], quad_cap=0.1)
+    with pytest.raises(ValueError, match="linear_terms"):
+        EpigraphProblem(np.ones(2), [0.0], [], quad_cap=0.1)
 
 
 @pytest.mark.parametrize("extra,seed", [(1, 0), (5, 1), (17, 2)])

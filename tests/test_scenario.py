@@ -144,6 +144,9 @@ def test_scheme_normalization():
     assert spec.schemes == ("RA", "IA")
     with pytest.raises(ScenarioError, match="schemes"):
         parse_scenario({**MINIMAL, "schemes": ["XYZ"]})
+    # run_single, which takes a scheme past the schema, checks it too
+    with pytest.raises(ValueError, match="unknown scheme 'XYZ'"):
+        run_single(spec, "XYZ", 0)
     for schemes in ("RA", []):
         with pytest.raises(ScenarioError,
                            match="'schemes'.*must be a non-empty list"):
