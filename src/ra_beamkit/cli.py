@@ -24,16 +24,8 @@ EXIT_SOLVER = 2
 EXIT_IO = 3
 
 
-class _Parser(argparse.ArgumentParser):
-    """Usage errors exit ``EXIT_SCHEMA``, not 2; subparsers share the class."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(EXIT_SCHEMA, f"{self.prog}: error: {message}\n")
-
-
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
+    parser = argparse.ArgumentParser(
         prog="ra-beamkit",
         description="Max-min beamforming for rotatable-antenna arrays")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -96,14 +88,16 @@ def _cmd_pattern(args) -> int:
                               "--step")
     scheme, state = experiments.load_report_state(args.state,
                                                   spec.num_antennas)
-    experiments.write_pattern_csv(sys.stdout if args.out is None else args.out,
-                                  state, None if scheme == "IA" else spec.pattern,
-                                  spec.geometry, spec.pattern_sample_step_deg)
+    experiments.write_scheme_pattern(
+        sys.stdout if args.out is None else args.out, scheme, state, spec)
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:   # argparse has printed the help or the error
+        return EXIT_OK if exc.code == 0 else EXIT_SCHEMA
     handler = {"run": _cmd_run, "sweep": _cmd_sweep,
                "pattern": _cmd_pattern}[args.command]
     try:

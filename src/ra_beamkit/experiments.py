@@ -7,9 +7,9 @@ to the clamped closed-form boresight of a randomly chosen desired direction,
 which gives the alternating optimizer a portfolio of basins to refine.  The
 weight-only baselines ignore the rotation start.
 
-Monte Carlo repetitions and sweep cells can run in a process pool; results
-are aggregated in task order, so outputs are identical however many workers
-are used.  ``RA_BEAMKIT_THREADS`` sets the worker count (see ``worker_count``).
+Every solve of a run or a sweep is one pool task; results are aggregated in
+task order, so outputs are identical however many workers are used.
+``RA_BEAMKIT_THREADS`` sets the worker count (see ``worker_count``).
 """
 
 import json
@@ -18,6 +18,7 @@ import sys
 from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from itertools import islice
 
 import numpy as np
 
@@ -96,16 +97,38 @@ def worker_count() -> int:
             f"RA_BEAMKIT_THREADS must be an integer, got {env!r}") from None
 
 
-def _pool_map(fn, tasks, workers):
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-        return list(pool.map(fn, tasks, chunksize=1))
-
-
 def best_report(reports) -> RunReport:
     """The report with the largest min desired gain; the first on a tie."""
     return max(reports, key=lambda r: r.min_desired_gain)
+
+
+def _best_reports(cells, schemes, seeds, workers) -> list:
+    """The best report per (cell, scheme), in cell then scheme order.
+
+    A cell is a ``(spec, entropy)`` pair; each seeded solve in it is one task,
+    run serially for one worker or one task, else in a pool of at most
+    ``workers`` processes.  A group is reduced as its reports arrive.  A
+    scheme that left weight-step subproblems uncertified, counted over every
+    cell and seed, gets one line on stderr with the count.
+    """
+    tasks = [(spec, scheme, seed, entropy) for spec, entropy in cells
+             for scheme in schemes for seed in seeds]
+    serial = workers <= 1 or len(tasks) <= 1
+    best, uncertified = [], dict.fromkeys(schemes, 0)
+    with nullcontext() if serial else \
+            ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+        reports = map(_run_single_task, tasks) if serial else \
+            pool.map(_run_single_task, tasks, chunksize=1)
+        for _ in range(len(cells) * len(schemes)):
+            group = list(islice(reports, len(seeds)))
+            best.append(best_report(group))
+            uncertified[group[0].scheme] += sum(r.nonoptimal_subproblems
+                                                for r in group)
+    for scheme, count in uncertified.items():
+        if count:
+            print(f"warning: {scheme}: {count} weight-step subproblems ended "
+                  "uncertified (status 'max_iterations')", file=sys.stderr)
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -392,11 +415,11 @@ def load_report_state(path, num_antennas=None):
 # ---------------------------------------------------------------------------
 # top-level experiment entry points
 
-def _warn_uncertified(scheme, count):
-    """The stderr line for a scheme that left subproblems uncertified."""
-    if count:
-        print(f"warning: {scheme}: {count} weight-step subproblems "
-              f"ended uncertified (status 'max_iterations')", file=sys.stderr)
+def write_scheme_pattern(path, scheme, state, spec):
+    """``write_pattern_csv`` for one scheme's state on ``spec``'s array at
+    its sample step; the isotropic scheme (IA) has no element pattern."""
+    write_pattern_csv(path, state, None if scheme == "IA" else spec.pattern,
+                      spec.geometry, spec.pattern_sample_step_deg)
 
 
 def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
@@ -409,15 +432,8 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
     """
     workers = worker_count()
     os.makedirs(output_dir, exist_ok=True)
-    tasks = [(spec, scheme, seed, ()) for scheme in spec.schemes
-             for seed in spec.seeds]
-    reports = _pool_map(_run_single_task, tasks, workers)
-
-    best = {}
-    for scheme in spec.schemes:
-        group = [r for r in reports if r.scheme == scheme]
-        best[scheme] = best_report(group)
-        _warn_uncertified(scheme, sum(r.nonoptimal_subproblems for r in group))
+    best = dict(zip(spec.schemes, _best_reports([(spec, ())], spec.schemes,
+                                                spec.seeds, workers)))
 
     full = full_array_gain(spec.pattern, spec.geometry)
     summary_rows = []
@@ -425,10 +441,9 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
         rep = best[scheme]
         write_report_json(os.path.join(output_dir, f"report_{scheme.lower()}.json"),
                           rep, spec)
-        write_pattern_csv(os.path.join(output_dir, f"pattern_{scheme.lower()}.csv"),
-                          rep.final_state,
-                          None if scheme == "IA" else spec.pattern,
-                          spec.geometry, spec.pattern_sample_step_deg)
+        write_scheme_pattern(
+            os.path.join(output_dir, f"pattern_{scheme.lower()}.csv"),
+            scheme, rep.final_state, spec)
         gain = rep.min_desired_gain
         summary_rows.append((scheme, gain, float(gain_to_db(gain)), gain / full))
 
@@ -457,23 +472,6 @@ def random_scenario_angles(base_seed: int, index: int, num_desired: int,
             return desired.tolist(), interference.tolist()
 
 
-def _sweep_cell_task(task):
-    spec, value_index, scenario_index, base_seed = task
-    desired, interference = random_scenario_angles(
-        base_seed, scenario_index, len(spec.desired_angles_deg),
-        len(spec.interference_angles_deg))
-    cell_spec = replace(spec, desired_angles_deg=desired,
-                        interference_angles_deg=interference)
-    gains, uncertified = {}, {}
-    for scheme in spec.schemes:
-        reports = [run_single(cell_spec, scheme, seed,
-                              entropy=(base_seed, value_index, scenario_index))
-                   for seed in spec.seeds]
-        gains[scheme] = best_report(reports).min_desired_gain
-        uncertified[scheme] = sum(r.nonoptimal_subproblems for r in reports)
-    return gains, uncertified
-
-
 def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
               base_seed: int, output_dir):
     """Mean max-min gain per scheme over random scenarios, per sweep value.
@@ -483,7 +481,8 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
     reports the mean of per-scenario dB gains and each scheme's shortfall
     against the rotating scheme.  Returns ``{value: {scheme: mean_db}}``.
     Each value gets the checks of the scenario file key it replaces, no value
-    may repeat, and at most ``MAX_TASKS`` cells are queued; the messages name
+    may repeat, and every solve is queued as one task, at most ``MAX_TASKS``
+    per scheme (values times scenarios times seeds); the messages name
     ``--values`` and ``--scenarios``, the CLI flags that carry them.
     Uncertified subproblems are reported on stderr as by ``run_scenario``.
     """
@@ -492,27 +491,31 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
             f"sweep field must be one of {', '.join(SWEEP_FIELDS)}")
     if num_scenarios < 1:
         raise ScenarioError("--scenarios (sweep scenarios) must be >= 1")
-    if len(values) * num_scenarios > MAX_TASKS:
-        raise ScenarioError(f"--scenarios times the number of --values must "
-                            f"be <= {MAX_TASKS}")
+    if len(values) * num_scenarios * len(spec.seeds) > MAX_TASKS:
+        raise ScenarioError(f"--scenarios times the number of --values and "
+                            f"of seeds must be <= {MAX_TASKS}")
     swept = [_replace_field(spec, field_name, value, "--values")
              for value in values]
     if len(set(values)) < len(values):   # -5 and -5.0 are one value
         raise ScenarioError("--values repeats a value")
     workers = worker_count()
     os.makedirs(output_dir, exist_ok=True)
-    tasks = [(s, vi, j, base_seed) for vi, s in enumerate(swept)
-             for j in range(num_scenarios)]
-    gains, uncertified = zip(*_pool_map(_sweep_cell_task, tasks, workers))
-    for scheme in spec.schemes:
-        _warn_uncertified(scheme, sum(u[scheme] for u in uncertified))
+    angles = [random_scenario_angles(base_seed, j, len(spec.desired_angles_deg),
+                                     len(spec.interference_angles_deg))
+              for j in range(num_scenarios)]
+    cells = [(replace(s, desired_angles_deg=desired,
+                      interference_angles_deg=interference), (base_seed, vi, j))
+             for vi, s in enumerate(swept)
+             for j, (desired, interference) in enumerate(angles)]
+    best = _best_reports(cells, spec.schemes, spec.seeds, workers)
 
-    results = {}
+    k, results = len(spec.schemes), {}
     for vi, value in enumerate(values):
-        rows = gains[vi * num_scenarios:(vi + 1) * num_scenarios]
-        results[value] = {
-            scheme: float(np.mean([gain_to_db(r[scheme]) for r in rows]))
-            for scheme in spec.schemes}
+        group = best[vi * num_scenarios * k:(vi + 1) * num_scenarios * k]
+        results[value] = {   # scheme si's best reports, in scenario order
+            scheme: float(np.mean([gain_to_db(r.min_desired_gain)
+                                   for r in group[si::k]]))
+            for si, scheme in enumerate(spec.schemes)}
 
     path = os.path.join(output_dir, "sweep.csv")
     with open(path, "w", encoding="utf-8", newline="") as fh:

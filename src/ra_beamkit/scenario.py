@@ -25,9 +25,10 @@ M, meaning 0..M-1.
 Three resource ceilings bound what a scenario may ask for:
 ``num_antennas`` <= ``MAX_ANTENNAS``; the sampled pattern,
 (round(180 / pattern_sample_step_deg) + 1) rows times ``num_antennas``,
-<= ``MAX_PATTERN_SIZE`` entries; and at most ``MAX_TASKS`` seeds.  Patterns
-are sampled and written in blocks of bounded size, so the second ceiling
-bounds a pattern's output size and the time to write it, not its memory.
+<= ``MAX_PATTERN_SIZE`` entries; and at most ``MAX_TASKS`` seeds, also the
+bound on a sweep's values times scenarios times seeds (each solve of a run or
+a sweep is one pool task).  Patterns are written in blocks of bounded size,
+so the second ceiling bounds output size and time, not memory.
 """
 
 import json
@@ -40,7 +41,7 @@ from .array_model import ArrayGeometry, RadiationPattern, Scenario
 VALID_SCHEMES = ("RA", "FOA", "IA")
 MAX_ANTENNAS = 1024
 MAX_PATTERN_SIZE = 2 ** 24     # about 1 GB of CSV at N = 1
-MAX_TASKS = 2 ** 16            # seeds of a run, cells of a sweep
+MAX_TASKS = 2 ** 16            # solves per scheme of a run or a sweep
 
 
 class ScenarioError(ValueError):

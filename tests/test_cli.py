@@ -306,13 +306,35 @@ def test_sweep_single_cell_matches_run(tmp_path):
 
 
 def test_parallel_pool_matches_serial(tmp_path, monkeypatch):
+    # two seeds, so each (cell, scheme) group of pool tasks is reduced
     scenario = write_scenario(tmp_path, seeds=2)
+    sweep = ["sweep", scenario, "--field", "num_antennas", "--values", "4,5",
+             "--scenarios", "2"]
     serial, parallel = tmp_path / "serial", tmp_path / "parallel"
     assert main(["run", scenario, "--out", str(serial)]) == 0
+    assert main(sweep + ["--out", str(serial / "sweep")]) == 0
     monkeypatch.setenv("RA_BEAMKIT_THREADS", "2")
     assert main(["run", scenario, "--out", str(parallel)]) == 0
-    for name in ("summary.csv", "report_ra.json", "pattern_ra.csv"):
+    assert main(sweep + ["--out", str(parallel / "sweep")]) == 0
+    for name in ("summary.csv", "report_ra.json", "pattern_ra.csv",
+                 "sweep/sweep.csv"):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
+
+
+def test_sweep_means_do_not_depend_on_the_scheme_list(tmp_path):
+    # every solve's streams depend on its cell and seed, not on the other
+    # schemes, so a sweep of IA and RA finds the IA and RA means of a sweep
+    # of all three
+    means = []
+    for schemes in (["IA", "RA"], ["RA", "FOA", "IA"]):
+        scenario = write_scenario(tmp_path, schemes=schemes)
+        out = tmp_path / "-".join(schemes)
+        assert main(["sweep", scenario, "--field", "num_antennas", "--values",
+                     "4,5", "--scenarios", "2", "--out", str(out)]) == 0
+        means.append({(r[0], r[1]): r[2]
+                      for r in read_csv(out / "sweep.csv")[1:]})
+    assert means[0] == {key: db for key, db in means[1].items()
+                        if key[1] != "FOA"}
 
 
 def test_sweep_bad_field_exits_1(tmp_path, capsys):
@@ -392,18 +414,10 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     assert path.read_text() == expected
 
 
-def _exit_code(argv):
-    """``main``'s exit code, also where argparse exits by itself."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
                                   ["sweep", "--help"], ["pattern", "--help"]])
 def test_help_exits_0(capsys, argv):
-    assert _exit_code(argv) == 0
+    assert main(argv) == 0
     assert "usage: ra-beamkit" in capsys.readouterr().out
 
 
@@ -457,8 +471,8 @@ def test_bad_flag_value_exits_1(tmp_path, capsys, argv, flag):
     extra = ["--state", str(state)] \
         if argv[0] == "pattern" and flag != "--state" else []
     out = tmp_path / "o"
-    assert _exit_code([argv[0], scenario, *extra, *argv[1:],
-                       "--out", str(out)]) == 1
+    assert main([argv[0], scenario, *extra, *argv[1:],
+                 "--out", str(out)]) == 1
     assert flag in capsys.readouterr().err
     assert not out.exists()
 
@@ -602,6 +616,10 @@ def test_task_ceiling_checked_before_anything_is_queued(tmp_path, capsys,
     assert "'seeds' in --seed-count" in capsys.readouterr().err
     assert main(["sweep", scenario, "--field", "num_antennas", "--values",
                  "4,6", "--scenarios", "3", "--out", str(out)]) == 1
+    assert "--scenarios" in capsys.readouterr().err
+    # 1 value times 3 scenarios fits, but every one of the 2 seeds is a task
+    assert main(["sweep", scenario, "--field", "num_antennas", "--values",
+                 "4", "--scenarios", "3", "--out", str(out)]) == 1
     assert "--scenarios" in capsys.readouterr().err
     assert not out.exists()
 
