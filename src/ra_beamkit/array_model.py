@@ -31,7 +31,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-MAX_GAIN_DBI = 20.0            # from 22 dBi some N = 64 solves go uncertified
+MAX_GAIN_DBI = 20.0            # N = 64 certifies to 60 dBi, not to 100
 MAX_ETA_DB = 80.0              # |eta_max_db|; by -90 dB some go uncertified
 MAX_SPACING_WAVELENGTHS = 1e6  # steering phase good to ~2e-6 rad at N = 1024
 

@@ -34,34 +34,35 @@ previous SCA optimum lies next to the active caps and costs more steps.
 
 At a centring parameter mu the barrier bound gives optimum - t <= m/mu, with m
 the constraint count.  The mu schedule grows by a fixed factor and ends exactly
-at mu_final = m/GAP_TARGET, so the certified gap is GAP_TARGET (1e-6), not an
-overshoot of it.  mu_final carries a 1% margin: at an inexact centre the dual
+at mu_final = m/gap, so the certified gap is the target, not an overshoot of
+it.  The target is GAP_TARGET (1e-6) up to offsets of size 1e3 and grows with
+them past that, GAP_TARGET * max(1, max_k |b_k| / 1e3): the objective has the
+size of the offsets, and float64 cannot resolve an absolute 1e-6 at |t| of a
+few thousand.  mu_final carries a 1% margin: at an inexact centre the dual
 point recovered from the returned (w, t) certifies slightly more than m/mu
 (under 4e-6 relative once its multipliers make w stationary).  Only the final
 stage is centred tightly; earlier stages stop at a loose Newton decrement.
 
-Along a Newton step every slack is s_i (1 + alpha d1_i - alpha^2 d2_i).  Each
-step first goes to a fraction of the distance to the boundary of the feasible
-set (Nocedal & Wright 2006, section 19.2), the smallest positive root of those
-polynomials.  The backtracking search then tests the change of the barrier
-directly as a sum of log1p terms, never as the difference of two barrier
-values.  Those values are of size mu*|t| ~ 1e9 at the last stage, so their
-difference carries rounding larger than the decrease being tested.  The
-barrier is self-concordant, so backtracking accepts the full step once the
-Newton decrement is at most (1 - 2*armijo)/4 (Boyd & Vandenberghe 2004,
-section 9.6.4); such steps skip the boundary root and the search.
+The barrier -mu*t - sum log(slack) is self-concordant, so the damped Newton
+step z += step/(1 + lambda), with lambda the Newton decrement, needs no line
+search (Nesterov & Nemirovski 1994; Boyd & Vandenberghe 2004, section 9.6).
+It stays inside the Dikin ellipsoid, so every slack keeps at least the
+fraction 1/(1 + lambda) of itself, and it lowers the barrier by at least
+lambda - log(1 + lambda).  Once lambda is at most 1/4 the full step is taken,
+which converges quadratically there.  No barrier value is ever evaluated, so
+the rounding of values of size mu*|t| ~ 1e9 never enters a decision.  In
+exact arithmetic no step leaves the domain; each stage checks the slacks once
+at its end, and a point outside ends the solve uncertified at the last centre
+inside.
 
 At d = 2r+1 <= 2(K+L)+1 a Newton step is a few dozen tiny products, so its
-cost is numpy's per-call overhead, and three things keep that down.  Each
-solve allocates the buffers of a step once (``_Barrier``) and every product
-writes into them.  The Newton system goes straight to ``solve1``, the LAPACK
-gufunc behind ``np.linalg.solve``, without the wrapper's checks and error
-context; LAPACK reports a singular Hessian by NaNs and the invalid flag, which
-each solve ignores once, and the NaN decrement retries the step on a slightly
-raised diagonal.  The line search runs in Python floats over the m entries of
-its lists.  All of it is the same floating-point work as with fresh arrays,
-the public solve and numpy's line search, to the bit on the subproblems
-checked (``_line_search`` says where its rounding may differ).
+cost is numpy's per-call overhead, and two things keep that down.  Each solve
+allocates the buffers of a step once (``_Barrier``) and every product writes
+into them.  The Newton system goes straight to ``solve1``, the LAPACK gufunc
+behind ``np.linalg.solve``, without the wrapper's checks and error context;
+LAPACK reports a singular Hessian by NaNs and the invalid flag, which each
+solve ignores once, and the NaN decrement retries the step on a slightly
+raised diagonal.  The QR of the basis calls its gufuncs the same way.
 """
 
 import math
@@ -70,20 +71,20 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg import _umath_linalg
 
-GAP_TARGET = 1e-6            # absolute optimality gap every solve certifies
+GAP_TARGET = 1e-6            # optimality gap certified up to offsets of 1e3
+_GAP_SCALE = 1e3             # past it the gap grows as max_k |b_k| / _GAP_SCALE
 _NEWTON_TOL = 1e-11          # squared Newton decrement / 2, final stage
 _STAGE_TOL = 1e-3            # the same, stages before the final one
 _MAX_NEWTON_PER_STAGE = 80
 _MU_FACTOR = 50.0
-_GAP_MARGIN = 1.01           # mu_final = margin * m / GAP_TARGET
-_TO_BOUNDARY = 0.99          # first trial step: this fraction of the way
-_ARMIJO = 0.01
-_MAX_HALVINGS = 60
-_FULL_STEP = ((1.0 - 2.0 * _ARMIJO) / 4.0) ** 2    # squared decrement
+_GAP_MARGIN = 1.01           # mu_final = margin * m / gap
+_FULL_STEP = 0.25 ** 2       # squared decrement taken as a full step
 
-# the gufunc behind np.linalg.solve, whose checks and error context take
-# about two thirds of a call at d = 9; _Barrier.center handles a singular H
+# the gufuncs behind np.linalg.solve and np.linalg.qr, whose checks and error
+# context take about two thirds of a call at these sizes; _Barrier.center
+# handles a singular H
 _solve = _umath_linalg.solve1
+_qr_r_raw, _qr_reduced = _umath_linalg.qr_r_raw, _umath_linalg.qr_reduced
 
 
 @dataclass
@@ -129,28 +130,42 @@ class ConvexSolution:
 
 
 def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
-    """Solve the epigraph subproblem to the absolute accuracy ``GAP_TARGET``.
+    """Solve the epigraph subproblem to the accuracy
+    ``GAP_TARGET * max(1, max_k |b_k| / 1e3)``.
 
     The returned weights are strictly feasible and the objective is a
-    certified lower bound on the optimum within ``GAP_TARGET``.
+    certified lower bound on the optimum within that gap: ``GAP_TARGET``,
+    absolute, for offsets up to 1e3, and relative to the largest offset past
+    that.
     """
     C, V, b = problem.linear_terms, problem.quad_vectors, problem.offsets
-    Q = np.linalg.qr(np.concatenate([C, V]).T)[0]        # (N, r)
+    A = np.concatenate([C, V]).T                         # factored in place
+    Q = _qr_reduced(A, _qr_r_raw(A, signature="D->D"), signature="DD->D")
     S = _slack_form(C @ Q.conj(), V @ Q.conj(), problem)
 
     r = Q.shape[1]
     zh = np.zeros(2 * r + 2)                             # y = 0, then t, 1
-    zh[-2:] = -b.max() - max(1.0, 0.05 * (np.abs(b).max() + 1.0)), 1.0
+    size = np.abs(b).max()
+    zh[-2:] = -b.max() - max(1.0, 0.05 * (size + 1.0)), 1.0
 
     barrier = _Barrier(S)
-    mu_final = _GAP_MARGIN * len(S) / GAP_TARGET
+    gap = GAP_TARGET * max(1.0, size / _GAP_SCALE)
+    mu_final = _GAP_MARGIN * len(S) / gap
+    centre = zh.copy()                      # the last centre in the domain
     mu, status = 1.0, "max_iterations"
     with np.errstate(invalid="ignore"):     # LAPACK's singular signal
-        while barrier.center(zh, mu,
-                             _NEWTON_TOL if mu == mu_final else _STAGE_TOL):
+        while True:
+            centred = barrier.center(
+                zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL)
+            if not barrier.inside(zh):
+                zh[:] = centre
+                break
+            if not centred:
+                break
             if mu == mu_final:
                 status = "optimal"
                 break
+            centre[:] = zh
             mu = min(mu * _MU_FACTOR, mu_final)
 
     w = Q @ (zh[:r] + 1j * zh[r:-2])
@@ -183,42 +198,46 @@ class _Barrier:
     """The Newton steps of one solve, over buffers allocated once for it.
 
     Every product of a step writes into its buffer (``out=``), so a step
-    allocates only its Newton direction, the move along it and the line
-    search's lists.
+    allocates only its Newton direction.
     ``newton_steps`` counts the Newton systems solved over every stage.
     """
 
     def __init__(self, S):
         m, d = len(S), S.shape[1] - 1
         self.S_rows = S.reshape(m * (d + 1), d + 1)
-        P = -S[:, :-1, :-1]                 # slack curvatures, contiguous
-        self.P_flat, self.P_rows = P.reshape(m, d * d), P.reshape(m * d, d)
+        self.P_flat = -S[:, :-1, :-1].reshape(m, d * d)   # slack curvatures
         self.Sz, self.s, self.w2 = np.empty((m, d + 1)), np.empty(m), np.empty(m)
         self.J, self.g = np.empty((m, d)), np.empty(d)
         self.H, self.curvature = np.empty((d, d)), np.empty(d * d)
-        self.d1, self.q, self.Pstep = np.empty(m), np.empty(m), np.empty((m, d))
         self.newton_steps = 0
+
+    def inside(self, zh) -> bool:
+        """Whether every slack at ``zh`` is positive (not NaN)."""
+        np.dot(self.S_rows, zh, out=self.Sz.reshape(-1))
+        np.dot(self.Sz, zh, out=self.s)
+        return self.s.min() > 0.0
 
     def center(self, zh, mu, tol) -> bool:
         """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu``
         until the squared Newton decrement is at most 2*tol, updating ``zh``
         in place.
 
-        Returns False when the stage runs out of steps, no step decreases
-        the barrier or the decrement is negative or NaN, all at the float64
-        floor.  A singular Hessian makes LAPACK return NaNs (and raise the
-        invalid flag, which the caller ignores); the NaN decrement then
-        retries the step once on a slightly raised diagonal.
+        A step whose squared decrement lambda^2 passes ``_FULL_STEP`` moves
+        by step/(1 + lambda); smaller ones take the full step.  Returns
+        False when the stage runs out of steps or the decrement is negative
+        or NaN, both at the float64 floor.  The slacks are not checked here;
+        the caller checks them once per stage.  A singular Hessian makes
+        LAPACK return NaNs (and raise the invalid flag, which the caller
+        ignores); the NaN decrement then retries the step once on a slightly
+        raised diagonal.
         """
         # np.dot, not @: at these sizes @ costs about 1 us more a product
-        S_rows, P_flat, P_rows = self.S_rows, self.P_flat, self.P_rows
+        S_rows, P_flat = self.S_rows, self.P_flat
         Sz, s, w2, J, g, H = self.Sz, self.s, self.w2, self.J, self.g, self.H
-        m, d, z = len(s), len(g), zh[:-1]
+        d, z = len(g), zh[:-1]
         Sz_flat, grad, w2_col = Sz.reshape(-1), Sz[:, :-1], w2[:, None]
         curvature, JT = self.curvature, J.T
         curvature_dd = curvature.reshape(d, d)
-        d1, q, Pstep = self.d1, self.q, self.Pstep
-        Pstep_flat = Pstep.reshape(-1)
         dot, solve = np.dot, _solve
         for _ in range(_MAX_NEWTON_PER_STAGE):
             self.newton_steps += 1
@@ -240,50 +259,10 @@ class _Barrier:
                 decrement = g.dot(step)
             if not decrement / 2.0 > tol:   # a NaN or negative one is no centre
                 return decrement >= 0.0
-            if decrement <= _FULL_STEP:
-                z += step
-                continue
-            # a negative d2 is rounding in the quadratic form of a PSD cap or
-            # ball; the two products stay apart, as one (2m, d) product rounds
-            # differently
-            dot(P_rows, step, out=Pstep_flat)
-            dot(Pstep, step, out=q)
-            d2 = [max(qi / si, 0.0) for qi, si in zip(q.tolist(), s.tolist())]
-            dot(J, step, out=d1)
-            alpha = _line_search(d1.tolist(), d2, float(step[-1]), mu,
-                                 -float(decrement))
-            if alpha == 0.0:
-                return False
-            z += alpha * step
+            if decrement > _FULL_STEP:
+                step /= 1.0 + math.sqrt(decrement)
+            z += step
         return False
-
-
-def _line_search(d1, d2, dt, mu, slope):
-    """Backtracking from the fraction-to-boundary step, over lists of floats.
-
-    Along z + alpha*step each slack scales by 1 + alpha*d1 - alpha^2*d2, so
-    the barrier change is an O(K+L) sum of log1p terms, exact to rounding
-    however large mu*t is.  The operations are numpy's on arrays, in its
-    order, but two may round differently in the last bit: libm's log1p
-    against numpy's vectorised one, and an in-order sum against numpy's
-    pairwise one from 8 terms on.  Either can change a trial's outcome only
-    when the Armijo test sits within rounding of its bound.
-    """
-    # 1/alpha at which each slack reaches zero (0 if it never does)
-    reach = max([math.sqrt(a * a + 4.0 * b) - a for a, b in zip(d1, d2)]) / 2.0
-    alpha = _TO_BOUNDARY / max(reach, _TO_BOUNDARY)
-    for _ in range(_MAX_HALVINGS):
-        try:
-            total = 0.0
-            for a, b in zip(d1, d2):
-                total += math.log1p(alpha * (a - alpha * b))
-        except ValueError:      # a slack at or past zero rejects the trial
-            pass
-        else:
-            if -mu * alpha * dt - total <= _ARMIJO * alpha * slope:
-                return alpha
-        alpha *= 0.5
-    return 0.0
 
 
 def _residual(problem: EpigraphProblem, w: np.ndarray, t: float) -> float:

@@ -367,9 +367,9 @@ def report_to_dict(report: RunReport, spec: ScenarioSpec) -> dict:
 
 
 def write_report_json(path, report: RunReport, spec: ScenarioSpec):
+    text = json.dumps(report_to_dict(report, spec), indent=2, sort_keys=True)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report_to_dict(report, spec), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")        # one write, not json.dump's ~190
 
 
 def _report_key(doc, key, context):

@@ -4,7 +4,8 @@ With rotations held fixed, the worst-direction array gain is maximized by
 repeatedly replacing each desired-direction gain |v_k^H w|^2 with its affine
 minorant around the current iterate and solving the resulting convex epigraph
 problem.  The minorant is tight at the expansion point, so the true objective
-never decreases across iterations (up to the certified gap ``GAP_TARGET``).
+never decreases across iterations (up to the certified gap of a subproblem,
+``GAP_TARGET`` for offsets up to 1e3).
 """
 
 from dataclasses import dataclass

@@ -224,14 +224,28 @@ def test_eta_range(eta_db):
 
 @pytest.mark.parametrize("gain_dbi", [20.5, 30.0, 4000])
 def test_max_gain_bound(gain_dbi):
-    # before: 4000 dBi overflowed the linear gain and exited 2; from about
-    # 22 dBi some N = 64 solves went uncertified
+    # before: 4000 dBi overflowed the linear gain and exited 2
     doc = {**MINIMAL, "pattern": {"max_gain_dbi": MAX_GAIN_DBI}}
     assert parse_scenario(doc).pattern.max_gain_dbi == MAX_GAIN_DBI
     with pytest.raises(ValueError, match="max_gain_dbi"):
         RadiationPattern(max_gain_dbi=gain_dbi)
     with pytest.raises(ScenarioError, match="'pattern'.*max_gain_dbi"):
         parse_scenario({**MINIMAL, "pattern": {"max_gain_dbi": gain_dbi}})
+
+
+@pytest.mark.parametrize("n", [256, 1024])
+@pytest.mark.parametrize("pair", [(55.0, 60.0), (60.0, 140.0)])
+def test_large_array_at_the_gain_ceiling_is_certified(pair, n):
+    # 20 dBi: the weight-step objective reaches a few thousand, where an
+    # absolute 1e-6 gap is below float64's resolution and left 18 (N = 256)
+    # and 132 (N = 1024) subproblems of these runs uncertified; the gap now
+    # grows with the offsets
+    spec = parse_scenario({"desired_angles_deg": list(pair),
+                           "interference_angles_deg": [20.0, 160.0],
+                           "num_antennas": n,
+                           "pattern": {"max_gain_dbi": MAX_GAIN_DBI}})
+    for scheme in ("FOA", "IA"):
+        assert run_single(spec, scheme, 0).nonoptimal_subproblems == 0
 
 
 @pytest.mark.parametrize("spacing", [1.5e6, 1e300, 1e308])
