@@ -355,6 +355,21 @@ def test_damped_steps_alone_certify(problem):
     assert certified_gap(problem, sol) <= 1e-6
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_full_step_rule_is_exact(monkeypatch, seed):
+    # full steps below the threshold only shorten the tail of each stage:
+    # damping every step instead must reach the same certified optimum
+    problem = weight_step_problem(15, 2, 2, seed)
+    ruled = solve_epigraph(problem)
+    monkeypatch.setattr(convex_core, "_FULL_STEP", 0.0)
+    damped = solve_epigraph(problem)
+    assert ruled.status == damped.status == "optimal"
+    assert certified_gap(problem, ruled) <= 1e-6
+    assert certified_gap(problem, damped) <= 1e-6
+    assert abs(ruled.objective - damped.objective) <= 1e-6
+    assert ruled.newton_steps <= damped.newton_steps
+
+
 def far_pair_under_tiny_cap():
     """A far-pair weight step under a 1e-15 cap, which no solve certifies."""
     rotations = np.random.default_rng(5).uniform(-100, 100, 15)
