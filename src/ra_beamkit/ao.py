@@ -4,7 +4,12 @@ All three schemes run one outer loop.  ``solve_ra`` alternates the convex
 weight step and the swarm rotation step until the true worst-direction gain
 stops improving.  The baselines are the same loop without the rotation step:
 ``solve_foa`` holds every rotation at zero (broadside), and ``solve_ia``
-also replaces the element pattern with an isotropic one.  The single-beam,
+also replaces the element pattern with an isotropic one.  Their rotations
+never move, so their weight step is the extrapolated SCA step with its
+monotone restart (see ``sca``); RA, whose rotations change between weight
+steps, keeps the plain step.  A report counts the convex solves and their
+Newton steps over every weight step (return values only; the report files
+do not hold them).  The single-beam,
 no-interference case has a closed form: phase-match the steering vector and
 point every element's boresight at the signal, clamped to the rotation range.
 """
@@ -43,6 +48,8 @@ class RunReport:
     scheme: str               # "RA" | "FOA" | "IA"
     seed: int
     nonoptimal_subproblems: int   # weight-step subproblems not "optimal"
+    convex_calls: int         # weight-step subproblems solved
+    newton_steps: int         # summed over those subproblems
 
 
 def random_initial_weights(num_antennas: int, seed) -> np.ndarray:
@@ -81,20 +88,23 @@ def _alternate(scenario, pattern, geometry, initial: BeamformerState,
     """The outer loop of every scheme: the weight step and, for RA only, the
     swarm step, until the true min desired gain rises by less than the outer
     threshold.  The swarm reuses the current rotations as one particle, so
-    with the ascent of the weight step the objective never decreases.
+    with the ascent of the weight step the objective never decreases.  Only
+    the schemes without a swarm step extrapolate in the weight step.
     """
     config = config or AoConfig()
     initial.validate(rotation_bounds(pattern) if scheme == "RA" else None)
     weights = initial.weights
     rotations = initial.rotations_deg.copy()
     history = []
-    nonoptimal = 0
+    nonoptimal = calls = newton_steps = 0
     for m in range(1, config.max_outer_iterations + 1):
         sca_report = optimize_weights(
             BeamformerState(weights, rotations), scenario, pattern, geometry,
-            config.sca)
+            config.sca, extrapolate=scheme != "RA")
         weights = sca_report.weights
         nonoptimal += sca_report.nonoptimal_subproblems
+        calls += sca_report.iterations
+        newton_steps += sca_report.newton_steps
         if scheme == "RA":
             rotations, _ = optimize_rotations(
                 weights, rotations, scenario, pattern, geometry, config.pso,
@@ -114,7 +124,9 @@ def _alternate(scenario, pattern, geometry, initial: BeamformerState,
         outer_iterations=len(history),
         scheme=scheme,
         seed=int(seed),
-        nonoptimal_subproblems=nonoptimal)
+        nonoptimal_subproblems=nonoptimal,
+        convex_calls=calls,
+        newton_steps=newton_steps)
 
 
 def solve_ra(scenario: Scenario, pattern: RadiationPattern,

@@ -181,16 +181,24 @@ def _slack_form(C_r, V_r, problem):
     K, r = C_r.shape
     L, d = len(V_r), 2 * r + 1
     S = np.zeros((K + L + 1, d + 1, d + 1))
+    edge = S[:, d]                              # the last row of every S_i
+    # the rows c_k, then v_l and i v_l per cap, as reals [Re, Im]
+    X = np.concatenate([C_r, np.concatenate([V_r, 1j * V_r], axis=1)
+                        .reshape(2 * L, r)])
+    X = np.concatenate([X.real, X.imag], axis=1)
     # 2 Re{c^H y} - t - b, with Re{c^H y} = [Re c, Im c] . [Re y; Im y]
-    S[:K, :d, d] = S[:K, d, :d] = np.concatenate(
-        [C_r.real, C_r.imag, np.full((K, 1), -0.5)], axis=1)
+    edge[:K, :-2] = X[:K]
+    edge[:K, -2] = -0.5
+    S[:K, :d, d] = edge[:K, :d]
+    np.negative(problem.offsets, out=edge[:K, d])
     # eta - |v^H y|^2 = eta - ||R x||^2, rows R = [Re v, Im v], [Re iv, Im iv]
-    R = np.concatenate([V_r, 1j * V_r], axis=1).reshape(L, 2, r)
-    R = np.concatenate([R.real, R.imag], axis=2)
-    S[K:K + L, :-2, :-2] = -(R.transpose(0, 2, 1) @ R)
-    S[-1, :-2, :-2] = -np.eye(d - 1)                   # 1 - ||y||^2
-    S[:, d, d] = np.concatenate([-problem.offsets, np.full(L, problem.quad_cap),
-                                 [1.0]])
+    R = X[K:].reshape(L, 2, 2 * r)
+    np.negative(R.transpose(0, 2, 1) @ R, out=S[K:-1, :-2, :-2])
+    edge[K:-1, d] = problem.quad_cap
+    # 1 - ||y||^2: minus the identity, with -0.0 off the diagonal
+    S[-1, :-2, :-2] = -0.0
+    S[-1].reshape(-1)[:(d - 1) * (d + 2):d + 2] = -1.0
+    edge[-1, d] = 1.0
     return S
 
 

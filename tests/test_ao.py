@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
-from ra_beamkit import sca
+from ra_beamkit import ao, sca
 from ra_beamkit.ao import (AoConfig, random_initial_weights, solve_foa,
                            solve_ia, solve_ra, solve_single_beam)
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario, array_gain,
-                                    full_array_gain, rotation_bounds)
+                                    composite_response, full_array_gain,
+                                    rotation_bounds)
 from ra_beamkit.experiments import report_to_dict
 from ra_beamkit.pso import PsoConfig
 from ra_beamkit.sca import ScaConfig
@@ -286,3 +287,64 @@ def test_outer_stop_rule(scheme, outer):
     assert np.all(steps[:-1] >= config.delta_threshold)
     assert report.outer_iterations == outer \
         or steps[-1] < config.delta_threshold
+
+
+@pytest.mark.parametrize("desired", [(55.0, 60.0), (60.0, 140.0)])
+def test_ra_expands_every_subproblem_at_the_last_weights(desired, monkeypatch):
+    # RA keeps the plain weight step: each subproblem's offsets are
+    # |v_k^H w|^2 at the weights the previous subproblem returned (the
+    # start for the first), with v_k at the rotations of its weight step
+    solve, optimize = sca.solve_epigraph, ao.optimize_weights
+    calls = []          # (offsets, returned weights, rotations)
+
+    def recorded_solve(problem):
+        sol = solve(problem)
+        calls.append((problem.offsets.copy(), sol.weights, rotations[-1]))
+        return sol
+
+    rotations = []
+
+    def recorded_step(state, *args, **kwargs):
+        rotations.append(np.array(state.rotations_deg))
+        return optimize(state, *args, **kwargs)
+
+    monkeypatch.setattr(sca, "solve_epigraph", recorded_solve)
+    monkeypatch.setattr(ao, "optimize_weights", recorded_step)
+    sc = Scenario(desired, (20.0, 160.0), -10.0)
+    w = random_initial_weights(15, 5)
+    report = solve_ra(sc, PAT, GEO15, BeamformerState(w, np.zeros(15)),
+                      quick_config(particles=30, outer=4), seed=5)
+    assert len(rotations) == report.outer_iterations >= 2
+    for offsets, weights, rot in calls:
+        V = composite_response(PAT, GEO15, rot, sc.desired_angles_deg
+                               + sc.interference_angles_deg)[:2]
+        np.testing.assert_array_equal(offsets, np.abs(V.conj() @ w) ** 2)
+        w = weights
+    np.testing.assert_array_equal(report.final_state.weights, w)
+
+
+@pytest.mark.parametrize("scheme", ["RA", "FOA", "IA"])
+def test_run_report_counts_the_convex_solves(scheme, monkeypatch):
+    solve = sca.solve_epigraph
+    steps = []
+
+    def counted(problem):
+        sol = solve(problem)
+        steps.append(sol.newton_steps)
+        return sol
+
+    monkeypatch.setattr(sca, "solve_epigraph", counted)
+    sc = Scenario((60.0, 140.0), (20.0, 160.0), -10.0)
+    w0 = random_initial_weights(15, 7)
+    config = quick_config(particles=30, outer=5)
+    report = {"RA": lambda: solve_ra(sc, PAT, GEO15,
+                                     BeamformerState(w0, np.zeros(15)),
+                                     config, seed=7),
+              "FOA": lambda: solve_foa(sc, PAT, GEO15, w0, config),
+              "IA": lambda: solve_ia(sc, GEO15, w0, config)}[scheme]()
+    assert report.convex_calls == len(steps) >= report.outer_iterations
+    assert report.newton_steps == sum(steps)
+    # return values only: the report file keeps its keys
+    spec = parse_scenario({"desired_angles_deg": [60.0, 140.0]})
+    keys = report_to_dict(report, spec)
+    assert "convex_calls" not in keys and "newton_steps" not in keys

@@ -1,8 +1,12 @@
+import itertools
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ra_beamkit import sca
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario, array_gain,
                                     composite_response)
@@ -147,3 +151,151 @@ class TestOptimizeWeights:
         report = optimize_weights(BeamformerState(w0, np.zeros(15)), sc, PAT,
                                   geo, ScaConfig())
         assert report.nonoptimal_subproblems == 0
+
+
+# the paper pairs with the FOA and IA rotations, which stay fixed for the
+# whole solve; these are the callers of the extrapolated step
+CLOSE = Scenario((55.0, 60.0), (20.0, 160.0), -10.0)
+FAR = Scenario((60.0, 140.0), (20.0, 160.0), -10.0)
+FIXED = {"FOA": PAT, "IA": None}
+
+
+def _start(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.exp(1j * rng.uniform(0, 2 * np.pi, n)) / np.sqrt(n)
+
+
+def _desired_rows(pattern, geo, rot, sc):
+    # the rows v_k as the weight step builds them
+    V = composite_response(pattern, geo, rot, sc.desired_angles_deg
+                           + sc.interference_angles_deg)
+    return V[:len(sc.desired_angles_deg)]
+
+
+def _recording(monkeypatch, alter=None):
+    """Patch sca.solve_epigraph to record (offsets, returned weights) per
+    call; ``alter(call_number, solution)`` may replace a solution."""
+    solve = sca.solve_epigraph
+    calls = []
+
+    def recorded(problem):
+        sol = solve(problem)
+        if alter is not None:
+            sol = alter(len(calls) + 1, sol)
+        calls.append((problem.offsets.copy(), sol.weights))
+        return sol
+
+    monkeypatch.setattr(sca, "solve_epigraph", recorded)
+    return calls
+
+
+class TestExtrapolatedStep:
+    @pytest.mark.parametrize("scheme", ["FOA", "IA"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_history_nondecreasing_exactly(self, scheme, seed):
+        geo = ArrayGeometry(15)
+        report = optimize_weights(
+            BeamformerState(_start(15, seed), np.zeros(15)), FAR,
+            FIXED[scheme], geo, ScaConfig(), extrapolate=True)
+        hist = report.objective_history
+        assert all(b >= a for a, b in zip(hist, hist[1:]))
+        assert len(hist) <= report.iterations <= ScaConfig().max_iterations
+        V = _desired_rows(FIXED[scheme], geo, np.zeros(15), FAR)
+        assert hist[-1] == np.min(np.abs(V.conj() @ report.weights) ** 2)
+
+    def test_every_solve_expands_at_the_rule_point(self, monkeypatch):
+        # replay the rule from the recorded solves: each expands at
+        # w + beta (w - w_prev), or at w after a solve that did not raise
+        # the true min desired gain; a restart result below w ends the loop
+        calls = _recording(monkeypatch)
+        geo = ArrayGeometry(15)
+        restarts = 0
+        for sc, scheme, seed in itertools.product((CLOSE, FAR), FIXED,
+                                                  range(4)):
+            calls.clear()
+            w0 = _start(15, seed)
+            report = optimize_weights(BeamformerState(w0, np.zeros(15)), sc,
+                                      FIXED[scheme], geo, ScaConfig(),
+                                      extrapolate=True)
+            V = _desired_rows(FIXED[scheme], geo, np.zeros(15), sc)
+
+            def gain(x):
+                return np.min(np.abs(V.conj() @ x) ** 2)
+
+            w, w_prev, restart = w0, None, False
+            for offsets, weights in calls:
+                x = w if w_prev is None or restart else \
+                    w + sca._BETA * (w - w_prev)
+                np.testing.assert_array_equal(offsets,
+                                              np.abs(V.conj() @ x) ** 2)
+                if restart and gain(weights) < gain(w):
+                    break
+                if w_prev is not None and not restart \
+                        and gain(weights) <= gain(w):
+                    restart, restarts = True, restarts + 1
+                    continue
+                restart, w_prev, w = False, w, weights
+            assert report.iterations == len(calls)
+            np.testing.assert_array_equal(report.weights, w)
+        assert restarts >= 1
+
+    @pytest.mark.parametrize("max_iterations", [1, 2, 3])
+    def test_rejected_extrapolation_is_resolved_at_w(self, max_iterations,
+                                                     monkeypatch):
+        # spoil the first extrapolated solve (call 2): its result is
+        # rejected, and the next solve, if the budget allows one, expands
+        # at the accepted iterate w itself
+        calls = _recording(monkeypatch, lambda n, sol: replace(
+            sol, weights=0.5 * sol.weights) if n == 2 else sol)
+        geo = ArrayGeometry(15)
+        w0 = _start(15, 2)
+        report = optimize_weights(BeamformerState(w0, np.zeros(15)), FAR, PAT,
+                                  geo, ScaConfig(max_iterations=max_iterations),
+                                  extrapolate=True)
+        V = _desired_rows(PAT, geo, np.zeros(15), FAR)
+        assert report.iterations == len(calls) <= max_iterations
+        w1 = calls[0][1]
+        np.testing.assert_array_equal(calls[0][0], np.abs(V.conj() @ w0) ** 2)
+        if max_iterations >= 2:
+            x = w1 + sca._BETA * (w1 - w0)
+            np.testing.assert_array_equal(calls[1][0],
+                                          np.abs(V.conj() @ x) ** 2)
+        if max_iterations >= 3:
+            np.testing.assert_array_equal(calls[2][0],
+                                          np.abs(V.conj() @ w1) ** 2)
+        else:
+            # no budget for the restart: the loop keeps w1
+            np.testing.assert_array_equal(report.weights, w1)
+            assert len(report.objective_history) == 1
+
+    @pytest.mark.parametrize("max_iterations", [1, 2])
+    @pytest.mark.parametrize("extrapolate", [False, True])
+    def test_budget_counts_every_solve(self, max_iterations, extrapolate,
+                                       monkeypatch):
+        calls = _recording(monkeypatch)
+        geo = ArrayGeometry(15)
+        for seed in range(6):
+            calls.clear()
+            report = optimize_weights(
+                BeamformerState(_start(15, seed), np.zeros(15)), FAR, PAT,
+                geo, ScaConfig(max_iterations=max_iterations),
+                extrapolate=extrapolate)
+            assert report.iterations == len(calls) <= max_iterations
+
+    def test_counters_sum_the_solves(self, monkeypatch):
+        solve = sca.solve_epigraph
+        steps = []
+
+        def counted(problem):
+            sol = solve(problem)
+            steps.append(sol.newton_steps)
+            return sol
+
+        monkeypatch.setattr(sca, "solve_epigraph", counted)
+        for extrapolate in (False, True):
+            steps.clear()
+            report = optimize_weights(
+                BeamformerState(_start(15, 0), np.zeros(15)), FAR, PAT,
+                ArrayGeometry(15), ScaConfig(), extrapolate=extrapolate)
+            assert report.iterations == len(steps)
+            assert report.newton_steps == sum(steps) > 0
