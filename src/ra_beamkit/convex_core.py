@@ -40,8 +40,17 @@ them past that, GAP_TARGET * max(1, max_k |b_k| / 1e3): the objective has the
 size of the offsets, and float64 cannot resolve an absolute 1e-6 at |t| of a
 few thousand.  mu_final carries a 1% margin: at an inexact centre the dual
 point recovered from the returned (w, t) certifies slightly more than m/mu
-(under 4e-6 relative once its multipliers make w stationary).  Only the final
-stage is centred tightly; earlier stages stop at a loose Newton decrement.
+(under 4e-6 relative once its multipliers make w stationary).
+
+Only the final stage carries the certificate, so only it is centred tightly.
+The schedule is a long-step one (Boyd & Vandenberghe 2004, sections
+11.3-11.5): every earlier stage ends once the Newton decrement is at most
+sqrt(2), far from its centre, and the next stage's damped steps absorb the
+difference.  On paper-pair subproblems that takes about a fifth fewer Newton
+steps per solve than centring every stage tightly, with the same optima.  A
+looser end (decrement up to sqrt(6)) left some stages so far off the path that
+the next one drove the ball's slack 1 - ||y||^2 to 1e-10, below what its
+float64 sum resolves, and stalled there uncertified.
 
 The barrier -mu*t - sum log(slack) is self-concordant, so the damped Newton
 step z += step/(1 + lambda), with lambda the Newton decrement, needs no line
@@ -74,7 +83,7 @@ from numpy.linalg import _umath_linalg
 GAP_TARGET = 1e-6            # optimality gap certified up to offsets of 1e3
 _GAP_SCALE = 1e3             # past it the gap grows as max_k |b_k| / _GAP_SCALE
 _NEWTON_TOL = 1e-11          # squared Newton decrement / 2, final stage
-_STAGE_TOL = 1e-3            # the same, stages before the final one
+_STAGE_TOL = 1.0             # the same, stages before the final one
 _MAX_NEWTON_PER_STAGE = 80
 _MU_FACTOR = 50.0
 _GAP_MARGIN = 1.01           # mu_final = margin * m / gap
@@ -127,6 +136,7 @@ class ConvexSolution:
     feasibility_residual: float
     status: str               # "optimal" | "max_iterations"
     newton_steps: int         # Newton systems solved, over every stage
+    stages: int               # mu stages centred, the last one included
 
 
 def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
@@ -152,9 +162,10 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     gap = GAP_TARGET * max(1.0, size / _GAP_SCALE)
     mu_final = _GAP_MARGIN * len(S) / gap
     centre = zh.copy()                      # the last centre in the domain
-    mu, status = 1.0, "max_iterations"
+    mu, status, stages = 1.0, "max_iterations", 0
     with np.errstate(invalid="ignore"):     # LAPACK's singular signal
         while True:
+            stages += 1
             centred = barrier.center(
                 zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL)
             if not barrier.inside(zh):
@@ -172,7 +183,8 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     t = float(zh[-2])
     return ConvexSolution(weights=w, objective=t,
                           feasibility_residual=_residual(problem, w, t),
-                          status=status, newton_steps=barrier.newton_steps)
+                          status=status, newton_steps=barrier.newton_steps,
+                          stages=stages)
 
 
 def _slack_form(C_r, V_r, problem):
