@@ -35,12 +35,14 @@ previous SCA optimum lies next to the active caps and costs more steps.
 At a centring parameter mu the barrier bound gives optimum - t <= m/mu, with m
 the constraint count.  The mu schedule grows by a fixed factor and ends exactly
 at mu_final = m/gap, so the certified gap is the target, not an overshoot of
-it.  The target is GAP_TARGET (1e-6) up to offsets of size 1e3 and grows with
-them past that, GAP_TARGET * max(1, max_k |b_k| / 1e3): the objective has the
-size of the offsets, and float64 cannot resolve an absolute 1e-6 at |t| of a
-few thousand.  mu_final carries a 1% margin: at an inexact centre the dual
-point recovered from the returned (w, t) certifies slightly more than m/mu
-(under 4e-6 relative once its multipliers make w stationary).
+it.  The target is the problem's gap, GAP_TARGET (1e-6) unless the caller
+asks for a looser one, up to offsets of size 1e3, and grows with them past
+that, gap * max(1, max_k |b_k| / 1e3): the objective has the size of the
+offsets, and float64 cannot resolve an absolute 1e-6 at |t| of a few
+thousand.  The solution returns that scaled target as its gap.  mu_final
+carries a 1% margin: at an inexact centre the dual point recovered from the
+returned (w, t) certifies slightly more than m/mu (under 4e-6 relative once
+its multipliers make w stationary).
 
 Only the final stage carries the certificate, so only it is centred tightly.
 The schedule is a long-step one (Boyd & Vandenberghe 2004, sections
@@ -102,6 +104,7 @@ class EpigraphProblem:
     offsets: np.ndarray       # (K,) reals b_k
     quad_vectors: np.ndarray  # (L, N) complex, rows v_l
     quad_cap: float
+    gap: float = GAP_TARGET   # certified up to offsets of 1e3, scaled past
 
     def __post_init__(self):
         try:
@@ -123,6 +126,8 @@ class EpigraphProblem:
             raise ValueError("offsets and linear_terms lengths differ")
         if not self.quad_cap > 0:
             raise ValueError("quad_cap must be > 0")
+        if not self.gap > 0:
+            raise ValueError("gap must be > 0")
 
     @property
     def dim(self) -> int:
@@ -137,16 +142,17 @@ class ConvexSolution:
     status: str               # "optimal" | "max_iterations"
     newton_steps: int         # Newton systems solved, over every stage
     stages: int               # mu stages centred, the last one included
+    gap: float                # the certified gap, scaled with the offsets
 
 
 def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     """Solve the epigraph subproblem to the accuracy
-    ``GAP_TARGET * max(1, max_k |b_k| / 1e3)``.
+    ``problem.gap * max(1, max_k |b_k| / 1e3)``, returned as ``gap``.
 
     The returned weights are strictly feasible and the objective is a
-    certified lower bound on the optimum within that gap: ``GAP_TARGET``,
-    absolute, for offsets up to 1e3, and relative to the largest offset past
-    that.
+    certified lower bound on the optimum within that gap: ``problem.gap``
+    (``GAP_TARGET`` unless the caller asks for another), absolute, for
+    offsets up to 1e3, and relative to the largest offset past that.
     """
     C, V, b = problem.linear_terms, problem.quad_vectors, problem.offsets
     A = np.concatenate([C, V]).T                         # factored in place
@@ -159,7 +165,7 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     zh[-2:] = -b.max() - max(1.0, 0.05 * (size + 1.0)), 1.0
 
     barrier = _Barrier(S)
-    gap = GAP_TARGET * max(1.0, size / _GAP_SCALE)
+    gap = problem.gap * max(1.0, size / _GAP_SCALE)
     mu_final = _GAP_MARGIN * len(S) / gap
     centre = zh.copy()                      # the last centre in the domain
     mu, status, stages = 1.0, "max_iterations", 0
@@ -184,7 +190,7 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     return ConvexSolution(weights=w, objective=t,
                           feasibility_residual=_residual(problem, w, t),
                           status=status, newton_steps=barrier.newton_steps,
-                          stages=stages)
+                          stages=stages, gap=gap)
 
 
 def _slack_form(C_r, V_r, problem):

@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -240,6 +241,8 @@ def test_input_validation():
         EpigraphProblem([np.ones(2)], [0.0], [np.ones(3)], quad_cap=0.1)
     with pytest.raises(ValueError, match="linear_terms"):
         EpigraphProblem(np.ones(2), [0.0], [], quad_cap=0.1)
+    with pytest.raises(ValueError, match="gap"):
+        EpigraphProblem([np.ones(2)], [0.0], [], quad_cap=0.1, gap=0.0)
 
 
 @pytest.mark.parametrize("extra,seed", [(1, 0), (5, 1), (17, 2)])
@@ -342,6 +345,30 @@ def test_random_problems_are_certified(problem):
     assert sol.status == "optimal"
     assert sol.feasibility_residual == 0.0
     assert certified_gap(problem, sol) <= 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(problem=random_problems,
+       gap=st.sampled_from([convex_core.GAP_TARGET, sca._LOOSE_GAP]))
+def test_requested_gap_is_certified(problem, gap):
+    problem = replace(problem, gap=gap)
+    sol = solve_epigraph(problem)
+    assert sol.status == "optimal"
+    assert sol.feasibility_residual == 0.0
+    assert sol.gap == gap * max(1.0, np.abs(problem.offsets).max() / 1e3)
+    assert certified_gap(problem, sol) <= sol.gap
+
+
+def test_loose_gap_takes_fewer_newton_steps():
+    # the same 20 subproblems at the weight step's loose gap and at the
+    # default one: 18.25 against 36.45 Newton steps per solve
+    problems = [weight_step_problem(15, 2, 2, seed) for seed in range(20)]
+    loose = [solve_epigraph(replace(p, gap=sca._LOOSE_GAP)) for p in problems]
+    tight = [solve_epigraph(p) for p in problems]
+    assert all(p.gap == convex_core.GAP_TARGET for p in problems)
+    assert all(s.gap == convex_core.GAP_TARGET for s in tight)
+    assert sum(s.newton_steps for s in loose) <= \
+        0.6 * sum(s.newton_steps for s in tight)
 
 
 @settings(max_examples=40, deadline=None)
@@ -506,12 +533,17 @@ def test_loose_stages_stay_certified(monkeypatch, n, desired, interference,
         return centred
 
     monkeypatch.setattr(convex_core._Barrier, "center", recording)
+    # each solve meets the gap it was asked for; every loose one is solved
+    # again at GAP_TARGET, so the tight schedule keeps all of this coverage
     for problem, sol in foa_ia_solves(n, desired, interference, eta_db,
                                       max_gain_dbi, seed):
-        target = convex_core.GAP_TARGET * max(
-            1.0, np.abs(problem.offsets).max() / convex_core._GAP_SCALE)
         assert sol.status == "optimal"
-        assert certified_gap(problem, sol) <= target
+        assert certified_gap(problem, sol) <= sol.gap
+        if problem.gap != convex_core.GAP_TARGET:
+            tight = replace(problem, gap=convex_core.GAP_TARGET)
+            sol = solve_epigraph(tight)
+            assert sol.status == "optimal"
+            assert certified_gap(tight, sol) <= sol.gap
     assert max(stage_steps) <= convex_core._MAX_NEWTON_PER_STAGE // 2
 
 

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ra_beamkit import sca
+from ra_beamkit.ao import AoConfig, solve_ra
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario, array_gain,
                                     composite_response)
+from ra_beamkit.convex_core import GAP_TARGET
 from ra_beamkit.sca import (ScaConfig, max_interference_gain,
                             min_desired_gain, optimize_weights,
                             surrogate_gain)
@@ -173,8 +175,9 @@ def _desired_rows(pattern, geo, rot, sc):
 
 
 def _recording(monkeypatch, alter=None):
-    """Patch sca.solve_epigraph to record (offsets, returned weights) per
-    call; ``alter(call_number, solution)`` may replace a solution."""
+    """Patch sca.solve_epigraph to record (offsets, returned weights,
+    requested gap) per call; ``alter(call_number, solution)`` may replace a
+    solution."""
     solve = sca.solve_epigraph
     calls = []
 
@@ -182,7 +185,7 @@ def _recording(monkeypatch, alter=None):
         sol = solve(problem)
         if alter is not None:
             sol = alter(len(calls) + 1, sol)
-        calls.append((problem.offsets.copy(), sol.weights))
+        calls.append((problem.offsets.copy(), sol.weights, problem.gap))
         return sol
 
     monkeypatch.setattr(sca, "solve_epigraph", recorded)
@@ -206,10 +209,14 @@ class TestExtrapolatedStep:
     def test_every_solve_expands_at_the_rule_point(self, monkeypatch):
         # replay the rule from the recorded solves: each expands at
         # w + beta (w - w_prev), or at w after a solve that did not raise
-        # the true min desired gain; a restart result below w ends the loop
+        # the true min desired gain; a restart result below w ends the loop.
+        # Solves are loose until an accepted step gains less than the stop
+        # tolerance and tight after it, every restart is tight, and the loop
+        # ends only on a tight step that gains less than the tolerance
         calls = _recording(monkeypatch)
         geo = ArrayGeometry(15)
-        restarts = 0
+        tol = ScaConfig.delta_threshold
+        restarts = switches = 0
         for sc, scheme, seed in itertools.product((CLOSE, FAR), FIXED,
                                                   range(4)):
             calls.clear()
@@ -222,22 +229,67 @@ class TestExtrapolatedStep:
             def gain(x):
                 return np.min(np.abs(V.conj() @ x) ** 2)
 
-            w, w_prev, restart = w0, None, False
-            for offsets, weights in calls:
+            w, w_prev, restart, gap = w0, None, False, sca._LOOSE_GAP
+            for n, (offsets, weights, asked) in enumerate(calls, 1):
                 x = w if w_prev is None or restart else \
                     w + sca._BETA * (w - w_prev)
                 np.testing.assert_array_equal(offsets,
                                               np.abs(V.conj() @ x) ** 2)
+                assert asked == (GAP_TARGET if restart else gap)
                 if restart and gain(weights) < gain(w):
                     break
                 if w_prev is not None and not restart \
                         and gain(weights) <= gain(w):
                     restart, restarts = True, restarts + 1
                     continue
+                if w_prev is not None and gain(weights) - gain(w) < tol:
+                    if asked == GAP_TARGET:
+                        w = weights
+                        break
+                    gap, switches = GAP_TARGET, switches + 1
                 restart, w_prev, w = False, w, weights
-            assert report.iterations == len(calls)
+            else:
+                pytest.fail("the replayed solves end before a stop")
+            assert n == report.iterations == len(calls) < 100
             np.testing.assert_array_equal(report.weights, w)
-        assert restarts >= 1
+        assert restarts >= 1 and switches >= 1
+
+    def test_ra_subproblems_are_tight(self, monkeypatch):
+        # RA keeps the plain step and the default certificate bit for bit
+        calls = _recording(monkeypatch)
+        report = solve_ra(FAR, PAT, ArrayGeometry(15),
+                          BeamformerState(_start(15, 0), np.zeros(15)),
+                          AoConfig(), seed=0)
+        assert len(calls) == report.convex_calls > 0
+        assert all(asked == GAP_TARGET for _, _, asked in calls)
+
+    @pytest.mark.parametrize("scheme", ["FOA", "IA"])
+    def test_ascent_guard_keeps_a_better_feasible_input(self, scheme,
+                                                        monkeypatch):
+        # from a converged, feasible input, spoil the loose first solve: the
+        # input beats the result and comes back unchanged; an infeasible
+        # input (norm 2) does not
+        geo = ArrayGeometry(15)
+        V = _desired_rows(FIXED[scheme], geo, np.zeros(15), FAR)
+        w_in = optimize_weights(BeamformerState(_start(15, 1), np.zeros(15)),
+                                FAR, FIXED[scheme], geo, ScaConfig(),
+                                extrapolate=True).weights
+        calls = _recording(monkeypatch, lambda n, sol: replace(
+            sol, weights=0.5 * sol.weights) if n == 1 else sol)
+        config = ScaConfig(max_iterations=1)
+        report = optimize_weights(BeamformerState(w_in, np.zeros(15)), FAR,
+                                  FIXED[scheme], geo, config,
+                                  extrapolate=True)
+        assert [asked for _, _, asked in calls] == [sca._LOOSE_GAP]
+        assert report.iterations == 1
+        np.testing.assert_array_equal(report.weights, w_in)
+        assert report.objective_history == \
+            [np.min(np.abs(V.conj() @ w_in) ** 2)]
+        calls.clear()
+        report = optimize_weights(BeamformerState(2.0 * w_in, np.zeros(15)),
+                                  FAR, FIXED[scheme], geo, config,
+                                  extrapolate=True)
+        np.testing.assert_array_equal(report.weights, calls[0][1])
 
     @pytest.mark.parametrize("max_iterations", [1, 2, 3])
     def test_rejected_extrapolation_is_resolved_at_w(self, max_iterations,
