@@ -89,8 +89,8 @@ class RotationBounds:
                     and np.all(r <= self.theta_max_deg + atol))
 
     def clip(self, rotations_deg) -> np.ndarray:
-        return np.clip(np.asarray(rotations_deg, dtype=float),
-                       self.theta_min_deg, self.theta_max_deg)
+        return np.asarray(rotations_deg, dtype=float).clip(
+            self.theta_min_deg, self.theta_max_deg)
 
 
 @dataclass

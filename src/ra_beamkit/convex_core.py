@@ -67,17 +67,24 @@ at its end, and a point outside ends the solve uncertified at the last centre
 inside.
 
 At d = 2r+1 <= 2(K+L)+1 a Newton step is a few dozen tiny products, so its
-cost is numpy's per-call overhead, and two things keep that down.  Each solve
-allocates the buffers of a step once (``_Barrier``) and every product writes
-into them.  The Newton system goes straight to ``solve1``, the LAPACK gufunc
+cost is numpy's per-call overhead, and three things keep that down.  Each
+solve allocates the buffers of a step once (``_Barrier``) and every product
+writes into them.  Every product and reduction of a step is an ndarray method
+(``a.dot(b, out)``, ``s.min()``) and every ufunc gets its output by position:
+the method runs the same C routine as ``np.dot(a, b, out=out)``, to the bit,
+without the array-function dispatcher and keyword parsing of the module
+function.  The Newton system goes straight to ``solve1``, the LAPACK gufunc
 behind ``np.linalg.solve``, without the wrapper's checks and error context;
 LAPACK reports a singular Hessian by NaNs and the invalid flag, which each
 solve ignores once, and the NaN decrement retries the step on a slightly
 raised diagonal.  The QR of the basis calls its gufuncs the same way.
+
+No solve reads the feasibility residual of the point it returns, so
+``ConvexSolution`` computes it from its problem when it is read.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -136,13 +143,21 @@ class EpigraphProblem:
 
 @dataclass
 class ConvexSolution:
+    """A solve's point, counts and certified gap.  ``feasibility_residual``
+    is computed from ``problem`` when read, which only checks do."""
+
     weights: np.ndarray
     objective: float
-    feasibility_residual: float
     status: str               # "optimal" | "max_iterations"
     newton_steps: int         # Newton systems solved, over every stage
     stages: int               # mu stages centred, the last one included
     gap: float                # the certified gap, scaled with the offsets
+    problem: EpigraphProblem = field(repr=False)
+
+    @property
+    def feasibility_residual(self) -> float:
+        """Worst constraint violation of (weights, objective); 0 inside."""
+        return _residual(self.problem, self.weights, self.objective)
 
 
 def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
@@ -187,10 +202,9 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
 
     w = Q @ (zh[:r] + 1j * zh[r:-2])
     t = float(zh[-2])
-    return ConvexSolution(weights=w, objective=t,
-                          feasibility_residual=_residual(problem, w, t),
-                          status=status, newton_steps=barrier.newton_steps,
-                          stages=stages, gap=gap)
+    return ConvexSolution(weights=w, objective=t, status=status,
+                          newton_steps=barrier.newton_steps, stages=stages,
+                          gap=gap, problem=problem)
 
 
 def _slack_form(C_r, V_r, problem):
@@ -223,8 +237,9 @@ def _slack_form(C_r, V_r, problem):
 class _Barrier:
     """The Newton steps of one solve, over buffers allocated once for it.
 
-    Every product of a step writes into its buffer (``out=``), so a step
-    allocates only its Newton direction.
+    Every product of a step writes into its buffer (an ndarray method or a
+    ufunc with its output by position), so a step allocates only its Newton
+    direction.
     ``newton_steps`` counts the Newton systems solved over every stage.
     """
 
@@ -239,8 +254,8 @@ class _Barrier:
 
     def inside(self, zh) -> bool:
         """Whether every slack at ``zh`` is positive (not NaN)."""
-        np.dot(self.S_rows, zh, out=self.Sz.reshape(-1))
-        np.dot(self.Sz, zh, out=self.s)
+        self.S_rows.dot(zh, self.Sz.reshape(-1))
+        self.Sz.dot(zh, self.s)
         return self.s.min() > 0.0
 
     def center(self, zh, mu, tol) -> bool:
@@ -257,30 +272,31 @@ class _Barrier:
         ignores); the NaN decrement then retries the step once on a slightly
         raised diagonal.
         """
-        # np.dot, not @: at these sizes @ costs about 1 us more a product
+        # a.dot(b, out): @ costs about 1 us more a product at these sizes,
+        # np.dot(a, b, out=out) the dispatcher; ufunc outputs go by position
         S_rows, P_flat = self.S_rows, self.P_flat
         Sz, s, w2, J, g, H = self.Sz, self.s, self.w2, self.J, self.g, self.H
         d, z = len(g), zh[:-1]
         Sz_flat, grad, w2_col = Sz.reshape(-1), Sz[:, :-1], w2[:, None]
         curvature, JT = self.curvature, J.T
         curvature_dd = curvature.reshape(d, d)
-        dot, solve = np.dot, _solve
+        divide, multiply, solve = np.divide, np.multiply, _solve
         for _ in range(_MAX_NEWTON_PER_STAGE):
             self.newton_steps += 1
-            dot(S_rows, zh, out=Sz_flat)
-            dot(Sz, zh, out=s)
-            np.divide(2.0, s, out=w2)
-            np.multiply(grad, w2_col, out=J)    # rows: gradients of log(slack)
-            dot(w2, grad, out=g)                # minus the barrier gradient
+            S_rows.dot(zh, Sz_flat)
+            Sz.dot(zh, s)
+            divide(2.0, s, w2)
+            multiply(grad, w2_col, J)           # rows: gradients of log(slack)
+            w2.dot(grad, g)                     # minus the barrier gradient
             g[-1] += mu
-            dot(JT, J, out=H)
-            dot(w2, P_flat, out=curvature)
+            JT.dot(J, H)
+            w2.dot(P_flat, curvature)
             H += curvature_dd
             step = solve(H, g, signature="dd->d")
             decrement = g.dot(step)
             if decrement != decrement:
                 H[np.arange(d), np.arange(d)] += \
-                    1e-12 * max(1.0, np.trace(H) / d)
+                    1e-12 * max(1.0, H.trace() / d)
                 step = solve(H, g, signature="dd->d")
                 decrement = g.dot(step)
             if not decrement / 2.0 > tol:   # a NaN or negative one is no centre

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 from itertools import islice
 
@@ -114,6 +113,8 @@ def _best_reports(cells, schemes, seeds, workers) -> list:
     tasks = [(spec, scheme, seed, entropy) for spec, entropy in cells
              for scheme in schemes for seed in seeds]
     serial = workers <= 1 or len(tasks) <= 1
+    if not serial:      # imported here: serial runs never load the pool
+        from concurrent.futures import ProcessPoolExecutor
     best, uncertified = [], dict.fromkeys(schemes, 0)
     with nullcontext() if serial else \
             ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:

@@ -58,9 +58,8 @@ def _batch_fitness(positions, weights, scenario, pattern, geometry):
                        scenario.desired_angles_deg
                        + scenario.interference_angles_deg)     # (K + L, S)
     interf = gains[k:]
-    penalty = np.sum(np.where(interf > scenario.eta_max_linear, interf, 0.0),
-                     axis=0)
-    return np.min(gains[:k], axis=0) - _PENALTY * penalty
+    penalty = np.where(interf > scenario.eta_max_linear, interf, 0.0).sum(axis=0)
+    return gains[:k].min(axis=0) - _PENALTY * penalty
 
 
 def fitness(rotations_deg, weights, scenario, pattern, geometry) -> float:
@@ -85,7 +84,7 @@ def init_swarm(initial_best, weights, scenario, pattern, geometry,
                             (config.num_particles, n))
     positions[0] = bounds.clip(initial_best)
     fit = _batch_fitness(positions, weights, scenario, pattern, geometry)
-    best = int(np.argmax(fit))
+    best = int(fit.argmax())
     return Swarm(positions=positions,
                  velocities=np.zeros_like(positions),
                  local_best_positions=positions.copy(),
@@ -113,7 +112,7 @@ def step(swarm: Swarm, iteration: int, weights, scenario, pattern, geometry,
                   + _LEARN_GLOBAL * draws[:, 1:2]
                   * (swarm.global_best_position[None, :] - swarm.positions))
     span = bounds.span_deg
-    np.clip(velocities, -span, span, out=velocities)
+    velocities.clip(-span, span, velocities)
     positions = bounds.clip(swarm.positions + velocities)
 
     fit = _batch_fitness(positions, weights, scenario, pattern, geometry)
@@ -124,8 +123,8 @@ def step(swarm: Swarm, iteration: int, weights, scenario, pattern, geometry,
 
     global_best_position = swarm.global_best_position
     global_best_fitness = swarm.global_best_fitness
-    # index-order fold with strict ">": np.argmax returns the first maximum
-    cand = int(np.argmax(fit))
+    # index-order fold with strict ">": argmax returns the first maximum
+    cand = int(fit.argmax())
     if fit[cand] > global_best_fitness:
         global_best_position = positions[cand]
         global_best_fitness = float(fit[cand])

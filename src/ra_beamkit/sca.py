@@ -95,19 +95,21 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig,
                            scenario.desired_angles_deg
                            + scenario.interference_angles_deg)    # (K + L, N)
     V_desired, V_interf = np.split(V, [len(scenario.desired_angles_deg)])
+    V_desired_h = V_desired.conj()
     eta = scenario.eta_max_linear
-    solutions = []
+    solved = []     # (status, Newton steps) per solve; a solution holds
+                    # its problem, so none is kept
 
     def solve_at(x, gap=GAP_TARGET):
-        inner = V_desired.conj() @ x            # v_k^H x
+        inner = V_desired_h @ x                 # v_k^H x
         sol = solve_epigraph(EpigraphProblem(V_desired * inner[:, None],
                                              np.abs(inner) ** 2, V_interf,
                                              quad_cap=eta, gap=gap))
-        solutions.append(sol)
+        solved.append((sol.status, sol.newton_steps))
         return sol
 
     def gain(x):                                # the true min desired gain
-        return float(np.min(np.abs(V_desired.conj() @ x) ** 2))
+        return float((np.abs(V_desired_h @ x) ** 2).min())
 
     if extrapolate:
         w_in = w
@@ -120,9 +122,9 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig,
     else:
         w, history = _plain(w, solve_at, config)
     return ScaReport(
-        weights=w, objective_history=history, iterations=len(solutions),
-        nonoptimal_subproblems=sum(s.status != "optimal" for s in solutions),
-        newton_steps=sum(s.newton_steps for s in solutions))
+        weights=w, objective_history=history, iterations=len(solved),
+        nonoptimal_subproblems=sum(status != "optimal" for status, _ in solved),
+        newton_steps=sum(steps for _, steps in solved))
 
 
 def _plain(w, solve_at, config):

@@ -3,8 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
 import shlex
+import subprocess
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -792,3 +795,14 @@ def test_exact_ties_are_ties(k):
         x = Fraction(_exact_tie(k, i))
         assert Fraction(10) ** (16 - k) <= x < Fraction(10) ** (17 - k)
         assert x * 10 ** k % 1 == Fraction(1, 2)
+
+
+def test_cli_import_loads_no_process_pool():
+    # only a pooled run imports the pool, so a serial command never pays it
+    src = Path(experiments.__file__).resolve().parents[1]
+    code = ("import sys, ra_beamkit.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]

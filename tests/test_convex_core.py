@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ra_beamkit import convex_core, sca
+from ra_beamkit import convex_core, pso, sca
 from ra_beamkit.ao import (AoConfig, random_initial_weights, solve_foa,
                            solve_ia)
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
@@ -510,13 +511,19 @@ def foa_ia_solves(n, desired, interference, eta_db, max_gain_dbi, seed):
     return solved
 
 
-@pytest.mark.parametrize("n,desired,interference,eta_db,max_gain_dbi", [
-    (15, (60.0, 140.0), (20.0, 160.0), -10.0, 8.0),            # far pair
-    (64, (15.0, 30.0, 45.0, 60.0, 75.0, 90.0, 105.0, 120.0),     # K = L = 8
-     (10.0, 25.0, 40.0, 55.0, 70.0, 135.0, 150.0, 165.0), -10.0, 8.0),
-    (15, (60.0, 140.0), (20.0, 160.0), -80.0, 8.0),            # schema floor
-    (20, (77.5, 80.0), (50.0, 75.5), -10.0, 8.0),              # cap by a beam
-    (256, (55.0, 60.0), (20.0, 160.0), -10.0, 20.0)])          # gain ceiling
+# (n, desired, interference, eta_db, max_gain_dbi) of the stress families
+FOA_IA_FAMILIES = {
+    "far-pair": (15, (60.0, 140.0), (20.0, 160.0), -10.0, 8.0),
+    "eight-beams": (64, (15.0, 30.0, 45.0, 60.0, 75.0, 90.0, 105.0, 120.0),
+                    (10.0, 25.0, 40.0, 55.0, 70.0, 135.0, 150.0, 165.0),
+                    -10.0, 8.0),
+    "schema-floor": (15, (60.0, 140.0), (20.0, 160.0), -80.0, 8.0),
+    "cap-by-a-beam": (20, (77.5, 80.0), (50.0, 75.5), -10.0, 8.0),
+    "gain-ceiling": (256, (55.0, 60.0), (20.0, 160.0), -10.0, 20.0)}
+
+
+@pytest.mark.parametrize("n,desired,interference,eta_db,max_gain_dbi",
+                         FOA_IA_FAMILIES.values())
 @pytest.mark.parametrize("seed", range(3))
 def test_loose_stages_stay_certified(monkeypatch, n, desired, interference,
                                      eta_db, max_gain_dbi, seed):
@@ -619,3 +626,85 @@ def test_slack_form_keeps_the_reference_bits(seed):
                               np.ones((L, n)), 0.1)
     assert convex_core._slack_form(C_r, V_r, problem).tobytes() == \
         reference_slack_form(C_r, V_r, problem).tobytes()
+
+
+def reference_inside(self, zh):
+    """``_Barrier.inside`` as np.dot calls with keyword outputs."""
+    np.dot(self.S_rows, zh, out=self.Sz.reshape(-1))
+    np.dot(self.Sz, zh, out=self.s)
+    return self.s.min() > 0.0
+
+
+def reference_center(self, zh, mu, tol):
+    """``_Barrier.center`` as np.dot(..., out=) calls with keyword ufunc
+    outputs; the solver's runs the same C routines as ndarray methods."""
+    S_rows, P_flat = self.S_rows, self.P_flat
+    Sz, s, w2, J, g, H = self.Sz, self.s, self.w2, self.J, self.g, self.H
+    d, z = len(g), zh[:-1]
+    Sz_flat, grad, w2_col = Sz.reshape(-1), Sz[:, :-1], w2[:, None]
+    curvature, JT = self.curvature, J.T
+    curvature_dd = curvature.reshape(d, d)
+    for _ in range(convex_core._MAX_NEWTON_PER_STAGE):
+        self.newton_steps += 1
+        np.dot(S_rows, zh, out=Sz_flat)
+        np.dot(Sz, zh, out=s)
+        np.divide(2.0, s, out=w2)
+        np.multiply(grad, w2_col, out=J)
+        np.dot(w2, grad, out=g)
+        g[-1] += mu
+        np.dot(JT, J, out=H)
+        np.dot(w2, P_flat, out=curvature)
+        H += curvature_dd
+        step = convex_core._solve(H, g, signature="dd->d")
+        decrement = g.dot(step)
+        if decrement != decrement:
+            H[np.arange(d), np.arange(d)] += \
+                1e-12 * max(1.0, np.trace(H) / d)
+            step = convex_core._solve(H, g, signature="dd->d")
+            decrement = g.dot(step)
+        if not decrement / 2.0 > tol:
+            return decrement >= 0.0
+        if decrement > convex_core._FULL_STEP:
+            step /= 1.0 + math.sqrt(decrement)
+        z += step
+    return False
+
+
+@pytest.mark.parametrize("family", ["weight-step", *FOA_IA_FAMILIES])
+def test_newton_loop_keeps_the_reference_bits(monkeypatch, family):
+    # every bit of the point and both counts, against the np.dot loop
+    problems = [weight_step_problem(15, 2, 2, seed) for seed in range(20)] \
+        if family == "weight-step" else \
+        [problem for problem, _ in foa_ia_solves(*FOA_IA_FAMILIES[family], 0)]
+    solved = [solve_epigraph(problem) for problem in problems]
+    monkeypatch.setattr(convex_core._Barrier, "center", reference_center)
+    monkeypatch.setattr(convex_core._Barrier, "inside", reference_inside)
+    assert problems
+    for problem, sol in zip(problems, solved):
+        ref = solve_epigraph(problem)
+        assert sol.weights.tobytes() == ref.weights.tobytes()
+        assert (sol.objective, sol.newton_steps, sol.stages) == \
+            (ref.objective, ref.newton_steps, ref.stages)
+
+
+def test_hot_paths_call_no_dispatched_numpy_wrapper(monkeypatch):
+    # a solve and a swarm step call ndarray methods, never the module
+    # functions that pass through numpy's array-function dispatcher
+    problem = weight_step_problem(15, 2, 2, 0)
+    pattern, geo, w = RadiationPattern(), ArrayGeometry(15), \
+        random_initial_weights(15, 0)
+    scenario = Scenario((60.0, 140.0), (20.0, 160.0), -10.0)
+    config = pso.PsoConfig(num_particles=40)
+    rng = np.random.Generator(np.random.Philox(0))
+    swarm = pso.init_swarm(np.zeros(15), w, scenario, pattern, geo, config,
+                           rng)
+
+    def dispatched(*args, **kwargs):
+        raise AssertionError("a dispatched numpy function ran")
+
+    for name in ("dot", "clip", "argmax", "sum", "min"):
+        monkeypatch.setattr(np, name, dispatched)
+    assert solve_epigraph(problem).status == "optimal"
+    moved = pso.step(swarm, 1, w, scenario, pattern, geo, config, rng)
+    assert moved.global_best_fitness >= swarm.global_best_fitness
+

@@ -1,4 +1,5 @@
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ra_beamkit import sca
+from ra_beamkit import convex_core, sca
 from ra_beamkit.ao import AoConfig, solve_ra
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario, array_gain,
@@ -190,6 +191,54 @@ def _recording(monkeypatch, alter=None):
 
     monkeypatch.setattr(sca, "solve_epigraph", recorded)
     return calls
+
+
+@pytest.mark.parametrize("scheme", ["RA", "FOA"])
+def test_weight_step_reads_no_residual(monkeypatch, scheme):
+    # the step computes no feasibility residual, and a later read computes
+    # it from the solution's problem
+    real_residual, solve = convex_core._residual, sca.solve_epigraph
+    residuals, solutions = [], []
+
+    def counted(problem, w, t):
+        residuals.append(real_residual(problem, w, t))
+        return residuals[-1]
+
+    def recorded(problem):
+        solutions.append(solve(problem))
+        return solutions[-1]
+
+    monkeypatch.setattr(convex_core, "_residual", counted)
+    monkeypatch.setattr(sca, "solve_epigraph", recorded)
+    report = optimize_weights(BeamformerState(_start(15, 0), np.zeros(15)),
+                              FAR, PAT, ArrayGeometry(15), ScaConfig(),
+                              extrapolate=scheme == "FOA")
+    assert report.iterations == len(solutions) > 1
+    assert residuals == []
+    assert all(s.feasibility_residual == real_residual(s.problem, s.weights,
+                                                        s.objective)
+               for s in solutions)
+    assert len(residuals) == len(solutions)
+
+
+@pytest.mark.parametrize("scheme", ["RA", "FOA"])
+def test_weight_step_keeps_no_solution(monkeypatch, scheme):
+    # a solution holds its problem; the step lets each one go once the next
+    # solve returns, so a step holds at most two at a time
+    solve, alive = sca.solve_epigraph, []
+
+    def recorded(problem):
+        assert all(ref() is None for ref in alive[:-1])
+        sol = solve(problem)
+        alive.append(weakref.ref(sol))
+        return sol
+
+    monkeypatch.setattr(sca, "solve_epigraph", recorded)
+    report = optimize_weights(BeamformerState(_start(15, 0), np.zeros(15)),
+                              FAR, PAT, ArrayGeometry(15), ScaConfig(),
+                              extrapolate=scheme == "FOA")
+    assert report.iterations == len(alive) > 2
+    assert all(ref() is None for ref in alive)
 
 
 class TestExtrapolatedStep:
