@@ -20,13 +20,16 @@ Two functions give the array gain.  :func:`array_gain`, built on
 vectors; the weight step, the swarm fitness and every reported gain use it.
 :func:`grid_gain` takes one rotation vector and a 1-D grid of directions and
 evaluates the steering sum by Horner's rule in ``exp(j 2 pi d cos psi)``; the
-pattern sampler uses it.  The two agree to rounding (see grid_gain).
+pattern sampler uses it.  The two agree to rounding (see grid_gain).  Both
+read their element amplitudes from one kernel, :func:`element_amplitude`,
+one ``exp`` per entry.
 
 All public interfaces take angles in degrees.  Gains are linear power ratios
 unless the name says dB.  Every function here is pure and safe to call
 concurrently.
 """
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -165,11 +168,35 @@ def element_gain_dbi(pattern: RadiationPattern, steer_deg, out=None):
 
 def element_gain_linear(pattern: RadiationPattern, steer_deg, out=None):
     """Element gain as a linear power ratio (strictly positive); ``out`` as
-    in :func:`element_gain_dbi`."""
+    in :func:`element_gain_dbi`.  No array gain calls it: their amplitudes
+    come from :func:`element_amplitude`."""
     gain = np.asarray(element_gain_dbi(pattern, steer_deg, out))
     gain /= 10.0
     np.power(10.0, gain, out=gain)
     return gain if gain.ndim else float(gain)
+
+
+_DB_TO_LOG_AMPLITUDE = math.log(10.0) / 20.0
+
+
+def element_amplitude(pattern: RadiationPattern, steer_deg, out=None):
+    """Element amplitude, the square root of the linear element gain;
+    ``out`` as in :func:`element_gain_dbi`.
+
+    The amplitude of a gain G dBi is ``sqrt(10**(G/10)) = exp(G ln10 / 20)``,
+    computed as one in-place ``exp`` of ``x = G * (ln10 / 20)``.  Every
+    array gain reads its amplitudes from here, so :func:`array_gain` and
+    :func:`grid_gain` see the same bits.  Against the exact amplitude of
+    the float64 G the result is within ``1 + 2 |x|`` ulp while it is a
+    normal float (G above about -6150 dBi).  The stored ln10 / 20 is 0.63
+    ulp off and the product rounds once, so x is off by at most
+    ``1.63 |x| eps / 2``, which exp turns into the same relative error of
+    the result; numpy's exp adds under 1 ulp.
+    """
+    amp = np.asarray(element_gain_dbi(pattern, steer_deg, out))
+    amp *= _DB_TO_LOG_AMPLITUDE
+    np.exp(amp, out=amp)
+    return amp if amp.ndim else float(amp)
 
 
 def rotation_bounds(pattern: RadiationPattern) -> RotationBounds:
@@ -179,14 +206,15 @@ def rotation_bounds(pattern: RadiationPattern) -> RotationBounds:
     reaches the side-lobe limit, the span over which the pattern still varies.
     Boresight can therefore lie anywhere in ``90 +/- half`` degrees.
     """
-    half = pattern.beamwidth_3db_deg * np.sqrt(pattern.sidelobe_limit_db / 12.0)
+    half = pattern.beamwidth_3db_deg * math.sqrt(
+        pattern.sidelobe_limit_db / 12.0)
     return RotationBounds(-half, half)
 
 
 def effective_gain_vector(pattern, rotations_deg, psi_deg) -> np.ndarray:
     """Per-element amplitude gains, shape ``psi.shape + rotations.shape``.
 
-    Entry ``[..., n]`` is sqrt of the linear element gain at the relative
+    Entry ``[..., n]`` is the :func:`element_amplitude` at the relative
     angle ``psi - rotations_deg[..., n]``.  ``pattern=None`` selects an
     isotropic element (unit gain regardless of rotation).
     """
@@ -194,9 +222,8 @@ def effective_gain_vector(pattern, rotations_deg, psi_deg) -> np.ndarray:
     psi = np.asarray(psi_deg, dtype=float)
     if pattern is None:    # a real array: a stride-0 view leaves matmul's BLAS path
         return np.ones(psi.shape + rotations.shape)
-    gain = np.asarray(element_gain_linear(
-        pattern, psi.reshape(psi.shape + (1,) * rotations.ndim) - rotations))
-    return np.sqrt(gain, out=gain)
+    amp = psi.reshape(psi.shape + (1,) * rotations.ndim) - rotations
+    return np.asarray(element_amplitude(pattern, amp, out=amp))
 
 
 def steering_vector(geometry: ArrayGeometry, psi_deg) -> np.ndarray:
@@ -246,11 +273,12 @@ def grid_gain(weights, pattern, geometry: ArrayGeometry,
     ``sum_n conj(w_n) A_n(psi) z**n`` in ``z = exp(j 2 pi d cos psi)`` by
     Horner's rule: one complex exponential per direction and no
     (directions, N) complex block.  The amplitudes ``A_n`` are computed once
-    per distinct rotation, one contiguous row per rotation.  With
-    ``pattern=None`` or one distinct rotation the coefficients are the
-    constants ``conj(w_n)``, and in the second case the one element gain
-    multiplies the result.  Every operation is elementwise along the grid,
-    so splitting the grid changes no bit.
+    per distinct rotation by :func:`element_amplitude`, one contiguous row
+    per rotation.  With ``pattern=None`` or one distinct rotation the
+    coefficients are the constants ``conj(w_n)``, and in the second case
+    the square of the one element amplitude multiplies the result.  Every
+    operation is elementwise along the grid, so splitting the grid changes
+    no bit.
 
     Against :func:`array_gain` the result differs by at most
     ``c N (1 + 2 pi d) eps S**2`` to first order in the machine epsilon
@@ -277,11 +305,9 @@ def grid_gain(weights, pattern, geometry: ArrayGeometry,
     if pattern is not None:
         distinct, index = np.unique(rotations, return_inverse=True)
         amp = psi - distinct[:, None]
-        element_gain_linear(pattern, amp, out=amp)
-        if distinct.size == 1:      # one element gain scales every term
-            scale, amp = amp[0], None
-        else:
-            np.sqrt(amp, out=amp)
+        element_amplitude(pattern, amp, out=amp)
+        if distinct.size == 1:      # one element gain, A**2, scales every term
+            scale, amp = np.square(amp[0], out=amp[0]), None
     if amp is None:
         p = np.full(psi.shape, coef[-1])
         for c in coef[-2::-1]:

@@ -3,13 +3,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
-                                    RadiationPattern, RotationBounds,
-                                    Scenario, array_gain,
+from ra_beamkit import array_model, pso, sca
+from ra_beamkit.ao import random_initial_weights
+from ra_beamkit.array_model import (MAX_GAIN_DBI, ArrayGeometry,
+                                    BeamformerState, RadiationPattern,
+                                    RotationBounds, Scenario, array_gain,
                                     composite_response, effective_gain_vector,
-                                    element_gain_dbi, element_gain_linear,
-                                    full_array_gain, grid_gain,
-                                    rotation_bounds, steering_vector)
+                                    element_amplitude, element_gain_dbi,
+                                    element_gain_linear, full_array_gain,
+                                    grid_gain, rotation_bounds,
+                                    steering_vector)
 
 PAT = RadiationPattern()
 FULL_GAIN_15 = 15 * 10 ** 0.8
@@ -111,6 +114,91 @@ class TestEffectiveGain:
         g = effective_gain_vector(PAT, rng.uniform(-180, 360, 32),
                                   rng.uniform(0, 180))
         assert np.all(g > 0)
+
+
+class TestElementAmplitude:
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                        reason="long double is no wider than float64 here")
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=0, max_value=2 ** 31 - 1),
+           st.floats(min_value=0.0, max_value=MAX_GAIN_DBI, exclude_min=True),
+           st.floats(min_value=1.0, max_value=360.0),
+           st.floats(min_value=1e-3, max_value=1e3),
+           st.floats(min_value=1e-3, max_value=1e3))
+    @example(seed=0, peak=8.0, beamwidth=65.0, sidelobe=300.0,
+             front_to_back=300.0)
+    @example(seed=1, peak=MAX_GAIN_DBI, beamwidth=1.0, sidelobe=1e3,
+             front_to_back=1e3)
+    def test_within_its_ulp_bound(self, seed, peak, beamwidth, sidelobe,
+                                  front_to_back):
+        # the bound of element_amplitude's docstring, 1 + 2 |G| ln10 / 20
+        # ulp, against a long double sqrt(10^(G/10)) of the same float64 G
+        pat = RadiationPattern(peak, beamwidth, sidelobe, front_to_back)
+        bounds = rotation_bounds(pat)
+        rng = np.random.default_rng(seed)
+        steer = rng.uniform(0.0, 180.0, (64, 1)) - rng.uniform(
+            bounds.theta_min_deg, bounds.theta_max_deg, 16)
+        dbi = element_gain_dbi(pat, steer)
+        exact = np.sqrt(np.power(np.longdouble(10),
+                                 dbi.astype(np.longdouble) / 10))
+        ulps = np.abs(element_amplitude(pat, steer) - exact) \
+            / np.spacing(exact.astype(float))
+        assert np.all(ulps <= 1 + 2 * np.abs(dbi) * np.log(10) / 20)
+
+    @pytest.mark.parametrize("layout", ["contiguous", "strided", "scalar"])
+    @pytest.mark.parametrize("distinct", [1, 4, 15])
+    def test_array_gain_and_grid_gain_share_the_bits(self, monkeypatch,
+                                                     layout, distinct):
+        # grid_gain's amplitude rows, one per distinct rotation, hold the
+        # bytes of effective_gain_vector's columns
+        rng = np.random.default_rng(distinct)
+        values = rng.uniform(-102.0, 102.0, distinct)
+        rot = values[np.arange(15) % distinct]
+        grid = rng.uniform(0.0, 180.0, 3 * 401)
+        psi = {"contiguous": grid[:401], "strided": grid[::3],
+               "scalar": grid[0]}[layout]
+        rows, kernel = [], element_amplitude
+
+        def recording(pattern, steer_deg, out=None):
+            amp = kernel(pattern, steer_deg, out)
+            rows.append(np.array(amp))      # before grid_gain squares it
+            return amp
+
+        monkeypatch.setattr(array_model, "element_amplitude", recording)
+        grid_gain(random_initial_weights(15, distinct), PAT, ArrayGeometry(15),
+                  rot, np.atleast_1d(psi))
+        monkeypatch.undo()
+        columns = effective_gain_vector(PAT, rot, psi).reshape(-1, 15)
+        _, index = np.unique(rot, return_inverse=True)
+        assert len(rows) == 1 and rows[0].shape == (distinct, columns.shape[0])
+        for n in range(15):
+            assert columns[:, n].tobytes() == rows[0][index[n]].tobytes()
+
+
+def test_amplitude_paths_call_no_power_or_sqrt(monkeypatch):
+    # the swarm step, the weight step and the pattern sampler take every
+    # amplitude from one exp per entry, never from numpy's power or sqrt
+    geo, w = ArrayGeometry(15), random_initial_weights(15, 0)
+    scenario = Scenario((60.0, 140.0), (20.0, 160.0), -10.0)
+    config = pso.PsoConfig(num_particles=40)
+    rng = np.random.Generator(np.random.Philox(0))
+    swarm = pso.init_swarm(np.zeros(15), w, scenario, PAT, geo, config, rng)
+    ra, foa = swarm.positions[1], np.full(15, 12.5)
+    psi = np.linspace(0.0, 180.0, 1801)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("numpy power or sqrt ran")
+
+    for name in ("power", "sqrt"):
+        monkeypatch.setattr(np, name, forbidden)
+    moved = pso.step(swarm, 1, w, scenario, PAT, geo, config, rng)
+    assert moved.global_best_fitness >= swarm.global_best_fitness
+    report = sca.optimize_weights(BeamformerState(w, ra), scenario, PAT, geo,
+                                  sca.ScaConfig())
+    assert report.nonoptimal_subproblems == 0
+    for rotations in (ra, foa):
+        gains = grid_gain(report.weights, PAT, geo, rotations, psi)
+        assert gains.shape == psi.shape and np.all(gains >= 0)
 
 
 class TestSteeringVector:

@@ -4,10 +4,13 @@ import os
 import numpy as np
 import pytest
 
+from ra_beamkit import array_model
+from ra_beamkit.ao import random_initial_weights
 from ra_beamkit.array_model import (ArrayGeometry, RadiationPattern, Scenario,
-                                    array_gain, rotation_bounds,
+                                    array_gain, effective_gain_vector,
+                                    element_gain_dbi, rotation_bounds,
                                     steering_vector)
-from ra_beamkit.pso import (PsoConfig, fitness, init_swarm,
+from ra_beamkit.pso import (_PENALTY, PsoConfig, fitness, init_swarm,
                             optimize_rotations, step, update_inertia)
 
 PAT = RadiationPattern()
@@ -122,6 +125,56 @@ class TestStep:
         np.testing.assert_allclose(out.global_best_position,
                                    ref["global_best_position"], rtol=0, atol=0)
         assert out.global_best_fitness == ref["global_best_fitness"]
+
+
+def sqrt_power_amplitude(pattern, steer_deg, out=None):
+    """The element amplitude as sqrt(10**(G/10)), the form before the exp
+    kernel."""
+    gain = np.asarray(element_gain_dbi(pattern, steer_deg, out))
+    gain /= 10.0
+    np.power(10.0, gain, out=gain)
+    np.sqrt(gain, out=gain)
+    return gain if gain.ndim else float(gain)
+
+
+@pytest.mark.parametrize("pair", [(55.0, 60.0), (60.0, 140.0)],
+                         ids=["close", "far"])
+def test_swarm_decisions_match_the_sqrt_power_amplitude(monkeypatch, pair):
+    # init_swarm and five steps of paper-pair swarms move every particle the
+    # same way under either amplitude; fitness values agree to a few ulp of
+    # their Cauchy-Schwarz scale, the largest desired S^2 plus the penalty
+    # weight times the summed interference S^2, S = sum_n |w_n| A_n(psi)
+    geo, cfg = ArrayGeometry(15), PsoConfig()
+    sc = Scenario(pair, (20.0, 160.0), -10.0)
+    kernel = array_model.element_amplitude
+    for seed in range(10):
+        w = random_initial_weights(15, seed)
+
+        def tolerance(positions):
+            s2 = (effective_gain_vector(PAT, positions, pair + (20.0, 160.0))
+                  @ np.abs(w)) ** 2
+            scale = s2[:2].max(axis=0) + _PENALTY * s2[2:].sum(axis=0)
+            return 4 * np.finfo(float).eps * scale
+
+        traces = []
+        for amplitude in (kernel, sqrt_power_amplitude):
+            monkeypatch.setattr(array_model, "element_amplitude", amplitude)
+            rng = np.random.Generator(np.random.Philox(seed))
+            trace = [init_swarm(np.zeros(15), w, sc, PAT, geo, cfg, rng)]
+            for iteration in range(1, 6):
+                trace.append(step(trace[-1], iteration, w, sc, PAT, geo, cfg,
+                                  rng))
+            traces.append(trace)
+        monkeypatch.setattr(array_model, "element_amplitude", kernel)
+        for new, old in zip(*traces):
+            for name in ("positions", "velocities", "local_best_positions",
+                         "global_best_position"):
+                np.testing.assert_array_equal(getattr(new, name),
+                                              getattr(old, name))
+            moved = np.abs(new.local_best_fitness - old.local_best_fitness)
+            assert np.all(moved <= tolerance(new.local_best_positions))
+            assert abs(new.global_best_fitness - old.global_best_fitness) \
+                <= tolerance(new.global_best_position[None])[0]
 
 
 class TestOptimizeRotations:
