@@ -4,9 +4,8 @@ from .ao import (AoConfig, RunReport, random_initial_weights, solve_foa,
                  solve_ia, solve_ra, solve_single_beam)
 from .array_model import (ArrayGeometry, BeamformerState, RadiationPattern,
                           RotationBounds, Scenario, array_gain,
-                          composite_response, effective_gain_vector,
-                          element_amplitude, element_gain_dbi,
-                          element_gain_linear, full_array_gain, grid_gain,
+                          composite_response, element_amplitude,
+                          element_gain_dbi, full_array_gain, grid_gain,
                           rotation_bounds, steering_vector)
 from .convex_core import ConvexSolution, EpigraphProblem, solve_epigraph
 from .pso import PsoConfig, Swarm, fitness, optimize_rotations, update_inertia
@@ -18,9 +17,8 @@ __all__ = [
     "EpigraphProblem", "PsoConfig", "RadiationPattern", "RotationBounds",
     "RunReport", "ScaConfig", "ScaReport", "Scenario", "ScenarioError",
     "ScenarioSpec", "Swarm", "array_gain", "composite_response",
-    "effective_gain_vector", "element_amplitude", "element_gain_dbi",
-    "element_gain_linear", "fitness", "full_array_gain", "grid_gain",
-    "load_scenario", "optimize_rotations", "optimize_weights",
+    "element_amplitude", "element_gain_dbi", "fitness", "full_array_gain",
+    "grid_gain", "load_scenario", "optimize_rotations", "optimize_weights",
     "random_initial_weights", "rotation_bounds", "solve_epigraph",
     "solve_foa", "solve_ia", "solve_ra", "solve_single_beam",
     "steering_vector", "surrogate_gain", "update_inertia",

@@ -166,16 +166,6 @@ def element_gain_dbi(pattern: RadiationPattern, steer_deg, out=None):
     return gain if gain.ndim else float(gain)
 
 
-def element_gain_linear(pattern: RadiationPattern, steer_deg, out=None):
-    """Element gain as a linear power ratio (strictly positive); ``out`` as
-    in :func:`element_gain_dbi`.  No array gain calls it: their amplitudes
-    come from :func:`element_amplitude`."""
-    gain = np.asarray(element_gain_dbi(pattern, steer_deg, out))
-    gain /= 10.0
-    np.power(10.0, gain, out=gain)
-    return gain if gain.ndim else float(gain)
-
-
 _DB_TO_LOG_AMPLITUDE = math.log(10.0) / 20.0
 
 
@@ -211,21 +201,6 @@ def rotation_bounds(pattern: RadiationPattern) -> RotationBounds:
     return RotationBounds(-half, half)
 
 
-def effective_gain_vector(pattern, rotations_deg, psi_deg) -> np.ndarray:
-    """Per-element amplitude gains, shape ``psi.shape + rotations.shape``.
-
-    Entry ``[..., n]`` is the :func:`element_amplitude` at the relative
-    angle ``psi - rotations_deg[..., n]``.  ``pattern=None`` selects an
-    isotropic element (unit gain regardless of rotation).
-    """
-    rotations = np.asarray(rotations_deg, dtype=float)
-    psi = np.asarray(psi_deg, dtype=float)
-    if pattern is None:    # a real array: a stride-0 view leaves matmul's BLAS path
-        return np.ones(psi.shape + rotations.shape)
-    amp = psi.reshape(psi.shape + (1,) * rotations.ndim) - rotations
-    return np.asarray(element_amplitude(pattern, amp, out=amp))
-
-
 def steering_vector(geometry: ArrayGeometry, psi_deg) -> np.ndarray:
     """ULA steering vectors, shape ``psi.shape + (N,)``; element 0 is the
     phase reference."""
@@ -239,17 +214,25 @@ def composite_response(pattern, geometry: ArrayGeometry,
                        rotations_deg, psi_deg) -> np.ndarray:
     """Effective array responses, shape ``psi.shape + rotations.shape``.
 
-    Elementwise gain times steering phase, for one direction or an array of
-    them and for one rotation vector or a stack ``[..., N]`` of them.
-    Directions lead, so each direction's block is one contiguous matrix for
-    the matmul in :func:`array_gain`.
+    Entry ``[..., n]`` is the :func:`element_amplitude` at the relative
+    angle ``psi - rotations_deg[..., n]`` times element n's steering phase,
+    for one direction or an array of them and for one rotation vector or a
+    stack ``[..., N]`` of them.  ``pattern=None`` selects an isotropic
+    element (unit amplitude regardless of rotation).  Directions lead, so
+    each direction's block is one contiguous matrix for the matmul in
+    :func:`array_gain`.
     """
     rotations = np.asarray(rotations_deg, dtype=float)
     if rotations.shape[-1:] != (geometry.num_antennas,):
         raise ValueError("rotations length does not match num_antennas")
     psi = np.asarray(psi_deg, dtype=float)
     # amplitudes before the larger complex block keep peak memory down
-    return effective_gain_vector(pattern, rotations, psi) * steering_vector(
+    if pattern is None:    # a real array: a stride-0 view leaves matmul's BLAS path
+        amp = np.ones(psi.shape + rotations.shape)
+    else:
+        amp = psi.reshape(psi.shape + (1,) * rotations.ndim) - rotations
+        element_amplitude(pattern, amp, out=amp)
+    return amp * steering_vector(
         geometry, psi.reshape(psi.shape + (1,) * (rotations.ndim - 1)))
 
 

@@ -26,7 +26,8 @@ from .ao import (RunReport, child_seed, random_initial_weights, solve_foa,
 from .array_model import (BeamformerState, full_array_gain, grid_gain,
                           rotation_bounds)
 from .scenario import (MAX_TASKS, VALID_SCHEMES, ScenarioError, ScenarioSpec,
-                       _number_list, _replace_field)
+                       _json_object, _number_list, _read_json, _replace_field,
+                       pattern_rows)
 
 DB_FLOOR = -300.0
 SWEEP_FIELDS = ("num_antennas", "spacing_wavelengths", "eta_max_db")
@@ -135,10 +136,6 @@ def _best_reports(cells, schemes, seeds, workers) -> list:
 # ---------------------------------------------------------------------------
 # gain pattern sampling
 
-def _pattern_rows(step_deg: float) -> int:
-    return int(round(180.0 / step_deg)) + 1
-
-
 def sample_gain_pattern(state: BeamformerState, pattern, geometry,
                         step_deg: float, start: int = 0, stop=None):
     """Gains over psi in [0, 180] at the given step; returns (psi, gain).
@@ -148,7 +145,7 @@ def sample_gain_pattern(state: BeamformerState, pattern, geometry,
     repeats linspace's arithmetic (row index times the step, the last row
     exactly 180) instead of slicing the whole grid.
     """
-    rows = _pattern_rows(step_deg)
+    rows = pattern_rows(step_deg)
     stop = rows if stop is None else min(stop, rows)
     psi = np.arange(start, stop, dtype=float)
     if rows > 1:
@@ -327,7 +324,7 @@ def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
     [1e-4, 1e3), nearly all of a pattern's angles, gains and dB values, are
     formatted by array arithmetic, the others by Python.
     """
-    rows = _pattern_rows(step_deg)
+    rows = pattern_rows(step_deg)
     block = pattern_block_rows(geometry.num_antennas)
     with (nullcontext(path) if hasattr(path, "write") else
           open(path, "w", encoding="utf-8", newline="")) as fh:
@@ -373,14 +370,6 @@ def write_report_json(path, report: RunReport, spec: ScenarioSpec):
         fh.write(text + "\n")        # one write, not json.dump's ~190
 
 
-def _report_key(doc, key, context):
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{context} must be a JSON object")
-    if key not in doc:
-        raise ScenarioError(f"missing required key '{key}' in {context}")
-    return doc[key]
-
-
 def load_report_state(path, num_antennas=None):
     """Read back (scheme, BeamformerState) from a run-report JSON file.
 
@@ -390,19 +379,17 @@ def load_report_state(path, num_antennas=None):
     ``num_antennas`` when given.  A malformed report raises ScenarioError
     naming ``--state``, the CLI flag that carries the path.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as exc:    # not JSON, or not UTF-8
-            raise ScenarioError(f"invalid JSON in --state: {exc}") from exc
-    scheme = _report_key(doc, "scheme", "--state")
+    doc = _read_json(path, "--state")
+    scheme = _json_object(doc, "--state", ["scheme"])["scheme"]
     if scheme not in VALID_SCHEMES:
         raise ScenarioError(f"key 'scheme' in --state must be one of "
                             f"{', '.join(VALID_SCHEMES)}")
     context = "'final_state' in --state"
-    fs = _report_key(doc, "final_state", "--state")
+    fs = _json_object(doc, "--state", ["final_state"])["final_state"]
+    # one key at a time, so a malformed key is reported before a later
+    # missing one
     real, imag, rotations = (
-        _number_list(_report_key(fs, key, context), key, context)
+        _number_list(_json_object(fs, context, [key])[key], key, context)
         for key in ("weights_real", "weights_imag", "rotations_deg"))
     n = len(real) if num_antennas is None else num_antennas
     if not len(real) == len(imag) == len(rotations) == n:

@@ -54,9 +54,9 @@ class ScenarioSpec:
 
     desired_angles_deg: list
     interference_angles_deg: list = field(default_factory=list)
-    eta_max_db: float = -10.0
+    eta_max_db: float = Scenario.eta_max_db
     num_antennas: int = 15
-    spacing_wavelengths: float = 0.5
+    spacing_wavelengths: float = ArrayGeometry.spacing_wavelengths
     pattern: RadiationPattern = field(default_factory=RadiationPattern)
     schemes: tuple = VALID_SCHEMES
     solver: AoConfig = field(default_factory=AoConfig)
@@ -163,26 +163,41 @@ def _parse(f, value, path, context):
     return parse(value, f.name, context)
 
 
+def _json_object(doc, context, required=()):
+    """``doc``, checked to be a JSON object that holds every key of
+    ``required``; ``context`` names it in messages."""
+    if not isinstance(doc, dict):
+        raise ScenarioError(f"{context} must be a JSON object")
+    for key in required:
+        if key not in doc:
+            raise ScenarioError(f"missing required key '{key}' in {context}")
+    return doc
+
+
 def _build(cls, doc, path=""):
     """Build the dataclass ``cls`` from the keys of ``doc``; an absent key
     takes the field's default.  ``path`` names the object in messages."""
     context = f"'{path}'" if path else "scenario"
-    if not isinstance(doc, dict):
-        raise ScenarioError(f"{context} must be a JSON object")
     schema = {f.name: f for f in fields(cls)}
-    for key in doc:
+    for key in _json_object(doc, context):
         if key not in schema:
             raise ScenarioError(f"unknown key '{key}' in {context}")
-    for f in schema.values():
-        if f.name not in doc and f.default is MISSING \
-                and f.default_factory is MISSING:
-            raise ScenarioError(f"missing required key '{f.name}' in {context}")
+    _json_object(doc, context, [f.name for f in schema.values()
+                                if f.default is MISSING
+                                and f.default_factory is MISSING])
     values = {key: _parse(schema[key], value, path, context)
               for key, value in doc.items()}
     try:
         return cls(**values)
     except ValueError as exc:    # the dataclass's own range checks
         raise ScenarioError(f"key {context}: {exc}") from exc
+
+
+def pattern_rows(step_deg) -> int:
+    """Rows of a pattern sampled over [0, 180] at ``step_deg``:
+    round(180 / step_deg) + 1, capped at MAX_PATTERN_SIZE + 1, a count no
+    scenario accepts, so that a tiny step cannot overflow."""
+    return round(min(180.0 / step_deg, MAX_PATTERN_SIZE)) + 1
 
 
 def _check_spec(spec, context="scenario"):
@@ -197,8 +212,8 @@ def _check_spec(spec, context="scenario"):
     if spec.num_antennas > MAX_ANTENNAS:
         raise ScenarioError(f"key 'num_antennas' in {context} must be "
                             f"<= {MAX_ANTENNAS}")
-    rows = round(min(180.0 / spec.pattern_sample_step_deg, MAX_PATTERN_SIZE)) + 1
-    if rows * spec.num_antennas > MAX_PATTERN_SIZE:
+    if pattern_rows(spec.pattern_sample_step_deg) * spec.num_antennas \
+            > MAX_PATTERN_SIZE:
         raise ScenarioError(
             f"key 'pattern_sample_step_deg' in {context}: the pattern would "
             f"exceed {MAX_PATTERN_SIZE} entries (rows times num_antennas)")
@@ -218,12 +233,17 @@ def _replace_field(spec: ScenarioSpec, name, value, context) -> ScenarioSpec:
                        context)
 
 
-def load_scenario(path) -> ScenarioSpec:
-    """Read and validate a scenario file."""
+def _read_json(path, context):
+    """The JSON document in the file ``path``; ``context`` names the file
+    in the message when it is not UTF-8 JSON."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except ValueError as exc:    # not JSON, or not UTF-8
-            raise ScenarioError(f"invalid JSON in scenario file: {exc}") from exc
-    return parse_scenario(doc)
+            raise ScenarioError(f"invalid JSON in {context}: {exc}") from exc
+
+
+def load_scenario(path) -> ScenarioSpec:
+    """Read and validate a scenario file."""
+    return parse_scenario(_read_json(path, "scenario file"))
 

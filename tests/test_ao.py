@@ -1,18 +1,19 @@
 import numpy as np
 import pytest
+from collections import Counter
 from dataclasses import replace
 
-from ra_beamkit import ao, sca
+from ra_beamkit import ao, experiments, pso, sca
 from ra_beamkit.ao import (AoConfig, random_initial_weights, solve_foa,
                            solve_ia, solve_ra, solve_single_beam)
 from ra_beamkit.array_model import (ArrayGeometry, BeamformerState,
                                     RadiationPattern, Scenario, array_gain,
                                     composite_response, full_array_gain,
                                     rotation_bounds)
-from ra_beamkit.experiments import report_to_dict
+from ra_beamkit.experiments import report_to_dict, run_single
 from ra_beamkit.pso import PsoConfig
 from ra_beamkit.sca import ScaConfig
-from ra_beamkit.scenario import parse_scenario
+from ra_beamkit.scenario import ScenarioSpec, parse_scenario
 
 PAT = RadiationPattern()
 GEO15 = ArrayGeometry(15)
@@ -348,3 +349,38 @@ def test_run_report_counts_the_convex_solves(scheme, monkeypatch):
     spec = parse_scenario({"desired_angles_deg": [60.0, 140.0]})
     keys = report_to_dict(report, spec)
     assert "convex_calls" not in keys and "newton_steps" not in keys
+
+
+# the module attributes that perfbench/layers.py replaces to time each layer
+WRAP_POINTS = [(experiments, "solve_ra"), (experiments, "solve_foa"),
+               (experiments, "solve_ia"), (ao, "optimize_weights"),
+               (ao, "optimize_rotations"), (pso, "step"),
+               (sca, "solve_epigraph"), (sca, "composite_response")]
+
+
+def test_every_layer_is_called_through_its_wrap_point(monkeypatch):
+    # a call that binds one of these functions some other way runs untimed
+    # and drops its spans without any error
+    counts = Counter()
+
+    def counting(name, fn):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for module, name in WRAP_POINTS:
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    spec = ScenarioSpec([60.0, 140.0], [20.0, 160.0], num_antennas=4,
+                        solver=AoConfig(pso=PsoConfig(num_particles=8,
+                                                      max_iterations=3),
+                                        max_outer_iterations=2))
+    weight_step = {"optimize_weights", "solve_epigraph", "composite_response"}
+    fired = {}
+    for scheme in ("RA", "FOA", "IA"):
+        counts.clear()
+        run_single(spec, scheme, 1)
+        fired[scheme] = set(counts)
+    assert fired == {
+        "RA": weight_step | {"solve_ra", "optimize_rotations", "step"},
+        "FOA": weight_step | {"solve_foa"}, "IA": weight_step | {"solve_ia"}}

@@ -8,9 +8,8 @@ from ra_beamkit.ao import random_initial_weights
 from ra_beamkit.array_model import (MAX_GAIN_DBI, ArrayGeometry,
                                     BeamformerState, RadiationPattern,
                                     RotationBounds, Scenario, array_gain,
-                                    composite_response, effective_gain_vector,
-                                    element_amplitude, element_gain_dbi,
-                                    element_gain_linear, full_array_gain,
+                                    composite_response, element_amplitude,
+                                    element_gain_dbi, full_array_gain,
                                     grid_gain, rotation_bounds,
                                     steering_vector)
 
@@ -33,16 +32,17 @@ class TestElementGain:
     def test_far_angle_clamped(self):
         assert element_gain_dbi(PAT, 300.0) == pytest.approx(-22.0, abs=1e-12)
 
+    # the linear gain is the square of the element amplitude
     def test_linear_boresight(self):
-        assert element_gain_linear(PAT, 90.0) == pytest.approx(
+        assert element_amplitude(PAT, 90.0) ** 2 == pytest.approx(
             6.309573444801933, rel=1e-14)
 
     def test_linear_at_offset(self):
-        assert element_gain_linear(PAT, 155.0) == pytest.approx(
+        assert element_amplitude(PAT, 155.0) ** 2 == pytest.approx(
             10 ** -0.4, rel=1e-14)
 
     def test_linear_far_out(self):
-        assert element_gain_linear(PAT, 300.0) == pytest.approx(
+        assert element_amplitude(PAT, 300.0) ** 2 == pytest.approx(
             10 ** -2.2, rel=1e-14)
 
     def test_array_input(self):
@@ -90,29 +90,38 @@ class TestRotationBounds:
                                    [b.theta_min_deg, 20.0, b.theta_max_deg])
 
 
+def effective_gain(pattern, rotations, psi):
+    """The per-element amplitudes of composite_response, its moduli."""
+    return np.abs(composite_response(pattern, ArrayGeometry(len(rotations)),
+                                     rotations, psi))
+
+
 class TestEffectiveGain:
     def test_all_boresight(self):
-        g = effective_gain_vector(PAT, np.zeros(4), 90.0)
+        g = effective_gain(PAT, np.zeros(4), 90.0)
         np.testing.assert_allclose(g, np.full(4, 2.51188643150958), rtol=1e-14)
 
     def test_mixed_rotations(self):
-        g = effective_gain_vector(PAT, np.array([0.0, 65.0]), 90.0)
+        g = effective_gain(PAT, np.array([0.0, 65.0]), 90.0)
         np.testing.assert_allclose(g, [2.51188643150958, 0.6309573444801932],
                                    rtol=1e-14)
 
     @given(st.floats(min_value=0.0, max_value=180.0))
     def test_aligned_rotations_hit_peak(self, psi):
-        g = effective_gain_vector(PAT, np.full(3, psi - 90.0), psi)
+        g = effective_gain(PAT, np.full(3, psi - 90.0), psi)
         np.testing.assert_allclose(g, np.full(3, 2.51188643150958), rtol=1e-12)
 
     def test_isotropic(self):
+        # unit amplitudes: the response is the steering vector, bit for bit
+        geo = ArrayGeometry(2)
         np.testing.assert_array_equal(
-            effective_gain_vector(None, np.array([5.0, -3.0]), 42.0), [1.0, 1.0])
+            composite_response(None, geo, np.array([5.0, -3.0]), 42.0),
+            steering_vector(geo, 42.0))
 
     def test_positive_everywhere(self):
         rng = np.random.default_rng(3)
-        g = effective_gain_vector(PAT, rng.uniform(-180, 360, 32),
-                                  rng.uniform(0, 180))
+        g = effective_gain(PAT, rng.uniform(-180, 360, 32),
+                           rng.uniform(0, 180))
         assert np.all(g > 0)
 
 
@@ -150,7 +159,7 @@ class TestElementAmplitude:
     def test_array_gain_and_grid_gain_share_the_bits(self, monkeypatch,
                                                      layout, distinct):
         # grid_gain's amplitude rows, one per distinct rotation, hold the
-        # bytes of effective_gain_vector's columns
+        # bytes of the amplitude columns of composite_response
         rng = np.random.default_rng(distinct)
         values = rng.uniform(-102.0, 102.0, distinct)
         rot = values[np.arange(15) % distinct]
@@ -165,14 +174,15 @@ class TestElementAmplitude:
             return amp
 
         monkeypatch.setattr(array_model, "element_amplitude", recording)
+        composite_response(PAT, ArrayGeometry(15), rot, psi)
         grid_gain(random_initial_weights(15, distinct), PAT, ArrayGeometry(15),
                   rot, np.atleast_1d(psi))
         monkeypatch.undo()
-        columns = effective_gain_vector(PAT, rot, psi).reshape(-1, 15)
+        columns = rows[0].reshape(-1, 15)
         _, index = np.unique(rot, return_inverse=True)
-        assert len(rows) == 1 and rows[0].shape == (distinct, columns.shape[0])
+        assert len(rows) == 2 and rows[1].shape == (distinct, columns.shape[0])
         for n in range(15):
-            assert columns[:, n].tobytes() == rows[0][index[n]].tobytes()
+            assert columns[:, n].tobytes() == rows[1][index[n]].tobytes()
 
 
 def test_amplitude_paths_call_no_power_or_sqrt(monkeypatch):
@@ -233,7 +243,7 @@ class TestCompositeAndGain:
         psi = 73.0
         v = composite_response(PAT, ArrayGeometry(8), rot, psi)
         np.testing.assert_allclose(np.abs(v),
-                                   effective_gain_vector(PAT, rot, psi),
+                                   element_amplitude(PAT, psi - rot),
                                    rtol=1e-12)
 
     def test_composite_aligned_broadside(self):
@@ -355,7 +365,7 @@ class TestCompositeAndGain:
         psi = np.concatenate([[0.0, 90.0, 180.0], rng.uniform(0.0, 180.0, 200)])
         gains = grid_gain(w, pat, geo, rot, psi)
         reference = array_gain(w, pat, geo, rot, psi)
-        s = effective_gain_vector(pat, rot, psi) @ np.abs(w)
+        s = np.abs(composite_response(pat, geo, rot, psi)) @ np.abs(w)
         bound = 10 * n * (1 + 2 * np.pi * spacing) * np.finfo(float).eps * s ** 2
         assert gains.shape == psi.shape
         assert np.all(np.abs(gains - reference) <= bound)

@@ -193,6 +193,36 @@ def _recording(monkeypatch, alter=None):
     return calls
 
 
+@pytest.mark.parametrize("extrapolate", [False, True],
+                         ids=["plain", "extrapolated"])
+def test_solved_minorant_is_the_surrogate(monkeypatch, extrapolate):
+    # the first subproblem's rows c_k and offsets b_k give, for any w, the
+    # minorant 2 Re(c_k^H w) - b_k of |v_k^H w|^2 expanded at the input w0
+    solve, problems = sca.solve_epigraph, []
+
+    def recorded(problem):
+        problems.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(sca, "solve_epigraph", recorded)
+    geo, w0 = ArrayGeometry(15), _start(15, 3)
+    rot = np.random.default_rng(3).uniform(-102.0, 102.0, 15)
+    optimize_weights(BeamformerState(w0, rot), FAR, PAT, geo, ScaConfig(),
+                     extrapolate=extrapolate)
+    first = problems[0]
+    V = _desired_rows(PAT, geo, rot, FAR)
+    rng = np.random.default_rng(4)
+    for _ in range(20):
+        w = _random_complex(rng, 15)
+        minorant = 2 * (first.linear_terms.conj() @ w).real - first.offsets
+        surrogate = [surrogate_gain(w, w0, v) for v in V]
+        # both sum N products of size |v_k|^2 |w0| (|w| + |w0|)
+        scale = np.sum(np.abs(V) ** 2, axis=1) * np.linalg.norm(w0) \
+            * (np.linalg.norm(w) + np.linalg.norm(w0))
+        assert np.all(np.abs(minorant - surrogate)
+                      <= 4 * 15 * np.finfo(float).eps * scale)
+
+
 @pytest.mark.parametrize("scheme", ["RA", "FOA"])
 def test_weight_step_reads_no_residual(monkeypatch, scheme):
     # the step computes no feasibility residual, and a later read computes
