@@ -62,9 +62,9 @@ fraction 1/(1 + lambda) of itself, and it lowers the barrier by at least
 lambda - log(1 + lambda).  Once lambda is at most 1/4 the full step is taken,
 which converges quadratically there.  No barrier value is ever evaluated, so
 the rounding of values of size mu*|t| ~ 1e9 never enters a decision.  In
-exact arithmetic no step leaves the domain; each stage checks the slacks once
-at its end, and a point outside ends the solve uncertified at the last centre
-inside.
+exact arithmetic no step leaves the domain; each stage checks the slacks that
+its last Newton iterate evaluated, and a point outside ends the solve
+uncertified at the last centre inside.
 
 At d = 2r+1 <= 2(K+L)+1 a Newton step is a few dozen tiny products, so its
 cost is numpy's per-call overhead, and three things keep that down.  Each
@@ -189,7 +189,7 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
             stages += 1
             centred = barrier.center(
                 zh, mu, _NEWTON_TOL if mu == mu_final else _STAGE_TOL)
-            if not barrier.inside(zh):
+            if not barrier.s.min() > 0.0:   # a NaN slack fails too
                 zh[:] = centre
                 break
             if not centred:
@@ -252,12 +252,6 @@ class _Barrier:
         self.H, self.curvature = np.empty((d, d)), np.empty(d * d)
         self.newton_steps = 0
 
-    def inside(self, zh) -> bool:
-        """Whether every slack at ``zh`` is positive (not NaN)."""
-        self.S_rows.dot(zh, self.Sz.reshape(-1))
-        self.Sz.dot(zh, self.s)
-        return self.s.min() > 0.0
-
     def center(self, zh, mu, tol) -> bool:
         """Damped Newton minimisation of -mu*t - sum log(slack) at ``mu``
         until the squared Newton decrement is at most 2*tol, updating ``zh``
@@ -266,11 +260,12 @@ class _Barrier:
         A step whose squared decrement lambda^2 passes ``_FULL_STEP`` moves
         by step/(1 + lambda); smaller ones take the full step.  Returns
         False when the stage runs out of steps or the decrement is negative
-        or NaN, both at the float64 floor.  The slacks are not checked here;
-        the caller checks them once per stage.  A singular Hessian makes
-        LAPACK return NaNs (and raise the invalid flag, which the caller
-        ignores); the NaN decrement then retries the step once on a slightly
-        raised diagonal.
+        or NaN, both at the float64 floor.  On return ``s`` holds the slacks
+        at the ``zh`` left, unchecked: an exit on the decrement takes no step
+        after evaluating them, and a stage out of steps evaluates them once
+        more.  A singular Hessian makes LAPACK return NaNs (and raise the
+        invalid flag, which the caller ignores); the NaN decrement then
+        retries the step once on a slightly raised diagonal.
         """
         # a.dot(b, out): @ costs about 1 us more a product at these sizes,
         # np.dot(a, b, out=out) the dispatcher; ufunc outputs go by position
@@ -304,6 +299,8 @@ class _Barrier:
             if decrement > _FULL_STEP:
                 step /= 1.0 + math.sqrt(decrement)
             z += step
+        S_rows.dot(zh, Sz_flat)
+        Sz.dot(zh, s)
         return False
 
 

@@ -158,8 +158,7 @@ def sample_gain_pattern(state: BeamformerState, pattern, geometry,
 
 def gain_to_db(gain_linear) -> np.ndarray:
     g = np.asarray(gain_linear, dtype=float)
-    with np.errstate(divide="ignore"):
-        db = 10.0 * np.log10(np.where(g > 0, g, np.nan))
+    db = 10.0 * np.log10(np.where(g > 0, g, np.nan))
     return np.where(np.isnan(db) | (db < DB_FLOOR), DB_FLOOR, db)
 
 
@@ -234,10 +233,6 @@ _POINT = _words([""] * 1000 + _LEADING + ["."] * 1000 + _LEADING)
 _FRACTION4 = _words(_QUADS + [q.rstrip("0") for q in _QUADS])
 _SEPARATORS = _words([",", ",", "\n"])
 del _INTEGERS, _LEADING, _QUADS
-# fields formatted by Python per pass: each holds about 120 traced bytes
-# (its float, its text and its 24 NUL-padded bytes), so a pass holds about
-# 60 KiB however many of a block's fields fall back
-_FALLBACK_FIELDS = 512
 
 
 def _format_rows(columns) -> str:
@@ -285,12 +280,9 @@ def _format_rows(columns) -> str:
     cells.reshape(-1, 3, 7)[:, :, -1] = _SEPARATORS
 
     slow = np.flatnonzero(~fast)
-    for first in range(0, slow.size, _FALLBACK_FIELDS):
-        fields = slow[first:first + _FALLBACK_FIELDS]
-        # "%.17g" writes at most 24 characters: the six words before the
-        # separator
-        cells[fields, :-1] = _words(
-            ["%.17g" % v for v in x[fields].tolist()], 24).reshape(-1, 6)
+    # "%.17g" writes at most 24 characters: the six words before the separator
+    cells[slow, :-1] = _words(
+        ["%.17g" % v for v in x[slow].tolist()], 24).reshape(-1, 6)
     del cells, x
     return buf.translate(None, b"\0").decode("ascii")
 
@@ -351,15 +343,8 @@ def report_to_dict(report: RunReport, spec: ScenarioSpec) -> dict:
             "rotations_deg": report.final_state.rotations_deg.tolist(),
         },
         "config": asdict(spec.solver),
-        "scenario": {
-            "desired_angles_deg": list(spec.desired_angles_deg),
-            "interference_angles_deg": list(spec.interference_angles_deg),
-            "eta_max_db": spec.eta_max_db,
-        },
-        "geometry": {
-            "num_antennas": spec.num_antennas,
-            "spacing_wavelengths": spec.spacing_wavelengths,
-        },
+        "scenario": asdict(spec.scenario),
+        "geometry": asdict(spec.geometry),
         "pattern": asdict(spec.pattern),
     }
 

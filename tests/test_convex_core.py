@@ -565,6 +565,27 @@ def test_stage_that_cannot_centre_is_not_certified(monkeypatch, stop):
     assert sol.newton_steps == 1
 
 
+@pytest.mark.parametrize("exit_", ["decrement", "out-of-steps"])
+def test_center_leaves_the_slacks_of_its_point(monkeypatch, exit_):
+    # the stage's slack check reads _Barrier.s: after either exit it holds
+    # the slacks at the zh that center returns, bit for bit
+    if exit_ == "out-of-steps":
+        monkeypatch.setattr(convex_core, "_MAX_NEWTON_PER_STAGE", 1)
+    real, seen = convex_core._Barrier.center, []
+
+    def recording(self, zh, mu, tol):
+        centred = real(self, zh, mu, tol)
+        fresh = np.dot(self.S_rows, zh).reshape(self.Sz.shape).dot(zh)
+        seen.append((centred, self.s.tobytes() == fresh.tobytes()))
+        return centred
+
+    monkeypatch.setattr(convex_core._Barrier, "center", recording)
+    sol = solve_epigraph(weight_step_problem(15, 2, 2, 0))
+    assert all(same for _, same in seen)
+    assert [centred for centred, _ in seen] == \
+        ([True] * sol.stages if exit_ == "decrement" else [False])
+
+
 def test_step_out_of_the_domain_ends_at_the_last_centre(monkeypatch):
     # from the second stage on every Newton step comes back 1e3 times too
     # long, far past the Dikin ellipsoid, so the damped step leaves the
@@ -628,13 +649,6 @@ def test_slack_form_keeps_the_reference_bits(seed):
         reference_slack_form(C_r, V_r, problem).tobytes()
 
 
-def reference_inside(self, zh):
-    """``_Barrier.inside`` as np.dot calls with keyword outputs."""
-    np.dot(self.S_rows, zh, out=self.Sz.reshape(-1))
-    np.dot(self.Sz, zh, out=self.s)
-    return self.s.min() > 0.0
-
-
 def reference_center(self, zh, mu, tol):
     """``_Barrier.center`` as np.dot(..., out=) calls with keyword ufunc
     outputs; the solver's runs the same C routines as ndarray methods."""
@@ -667,6 +681,8 @@ def reference_center(self, zh, mu, tol):
         if decrement > convex_core._FULL_STEP:
             step /= 1.0 + math.sqrt(decrement)
         z += step
+    np.dot(S_rows, zh, out=Sz_flat)
+    np.dot(Sz, zh, out=s)
     return False
 
 
@@ -678,7 +694,6 @@ def test_newton_loop_keeps_the_reference_bits(monkeypatch, family):
         [problem for problem, _ in foa_ia_solves(*FOA_IA_FAMILIES[family], 0)]
     solved = [solve_epigraph(problem) for problem in problems]
     monkeypatch.setattr(convex_core._Barrier, "center", reference_center)
-    monkeypatch.setattr(convex_core._Barrier, "inside", reference_inside)
     assert problems
     for problem, sol in zip(problems, solved):
         ref = solve_epigraph(problem)

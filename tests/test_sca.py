@@ -399,6 +399,25 @@ class TestExtrapolatedStep:
             np.testing.assert_array_equal(report.weights, w1)
             assert len(report.objective_history) == 1
 
+    def test_worse_restart_ends_at_the_last_accepted_iterate(self,
+                                                             monkeypatch):
+        # spoil the first extrapolated solve (call 2) and the restart at w1
+        # that follows it (call 3): the restart's true gain falls below
+        # w1's, so the loop ends at once with w1 and its gain, though the
+        # budget has solves left
+        calls = _recording(monkeypatch, lambda n, sol: replace(
+            sol, weights=0.5 * sol.weights) if n in (2, 3) else sol)
+        geo = ArrayGeometry(15)
+        report = optimize_weights(BeamformerState(_start(15, 2), np.zeros(15)),
+                                  FAR, PAT, geo, ScaConfig(), extrapolate=True)
+        V = _desired_rows(PAT, geo, np.zeros(15), FAR)
+        w1 = calls[0][1]
+        assert report.iterations == len(calls) == 3 < ScaConfig().max_iterations
+        assert calls[2][2] == GAP_TARGET
+        np.testing.assert_array_equal(calls[2][0], np.abs(V.conj() @ w1) ** 2)
+        np.testing.assert_array_equal(report.weights, w1)
+        assert report.objective_history == [np.min(np.abs(V.conj() @ w1) ** 2)]
+
     @pytest.mark.parametrize("max_iterations", [1, 2])
     @pytest.mark.parametrize("extrapolate", [False, True])
     def test_budget_counts_every_solve(self, max_iterations, extrapolate,
