@@ -277,12 +277,11 @@ def grid_gain(weights, pattern, geometry: ArrayGeometry,
     if w.shape != (n,) or rotations.shape != (n,):
         raise ValueError("weights and rotations must hold num_antennas each")
     psi = np.asarray(psi_deg, dtype=float)
-    if n > 1:                 # only Horner's loop reads z, and N = 1 skips it
-        z = np.radians(psi)
-        np.cos(z, out=z)
-        z *= 2.0 * np.pi * geometry.spacing_wavelengths
-        z = 1j * z            # rebinding frees the float phase
-        np.exp(z, out=z)
+    z = np.radians(psi)
+    np.cos(z, out=z)
+    z *= 2.0 * np.pi * geometry.spacing_wavelengths
+    z = 1j * z                # rebinding frees the float phase
+    np.exp(z, out=z)
     coef = np.conj(w)
     amp = scale = None
     if pattern is not None:

@@ -46,9 +46,8 @@ def initial_rotations(seed: int, desired_angles_deg, pattern, num_antennas,
     """Starting rotations for one seeded run (see module docstring)."""
     if seed == 0:
         return np.zeros(num_antennas)
-    bounds = rotation_bounds(pattern)
-    candidates = np.array([float(bounds.clip(a - 90.0))
-                           for a in desired_angles_deg])
+    candidates = rotation_bounds(pattern).clip(
+        np.subtract(desired_angles_deg, 90.0))
     rng = np.random.default_rng(stream_seed)
     return candidates[rng.integers(0, candidates.shape[0], num_antennas)]
 
@@ -158,8 +157,7 @@ def sample_gain_pattern(state: BeamformerState, pattern, geometry,
 
 def gain_to_db(gain_linear) -> np.ndarray:
     g = np.asarray(gain_linear, dtype=float)
-    db = 10.0 * np.log10(np.where(g > 0, g, np.nan))
-    return np.where(np.isnan(db) | (db < DB_FLOOR), DB_FLOOR, db)
+    return np.fmax(10.0 * np.log10(np.where(g > 0, g, np.nan)), DB_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -167,15 +165,17 @@ def gain_to_db(gain_linear) -> np.ndarray:
 #
 # For finite |x| in [1e-4, 1e3), "%.17g" is fixed notation: the 17
 # significant digits D, the integer nearest |x| * 10**(16 - e) with ties to
-# even, e = floor(log10 |x|) in [-4, 2], with the point after digit e and
-# trailing fraction zeros and a bare point stripped.  10**k is exact in
-# float64 for k <= 22, Dekker's product splits |x| * 10**k exactly into
-# p + err, and p >= 10**16 > 2**53 is an even integer, so D = p + rint(err).
+# even, where 10**e <= |x| < 10**(e + 1) with e in [-4, 2] comes from six
+# exact comparisons, with the point after digit e and trailing fraction
+# zeros and a bare point stripped.  10**k is exact in float64 for k <= 22,
+# Dekker's product splits |x| * 10**k exactly into p + err, and
+# p >= 10**16 > 2**53 is an even integer, so D = p + rint(err).
 # Each field is laid out in a cell of seven NUL-padded words; one
 # bytes.translate per block deletes the NULs.  Every other value (zero,
 # |x| >= 1e3, exponent notation, nan, inf) is formatted by Python.
 
 _POW10 = np.array([float(10 ** k) for k in range(22)])
+_DECADES = np.array([1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2])
 
 
 def _halves(a):
@@ -242,19 +242,15 @@ def _format_rows(columns) -> str:
     a = np.abs(x)
     fast = (a >= 1e-4) & (a < 1e3)
     a[~fast] = 1.0
-    e = np.floor(np.log10(a)).astype(np.intp)
+    # the doubles 1e-4 to 1e-1 lie above their powers of ten and 1 to 100
+    # equal theirs, so every comparison is exact and D lies in
+    # [10**16, 10**17): no decade needs repair
+    e = np.full(x.size, -4, np.int8)
+    for decade in _DECADES:
+        e += a >= decade
+    e = e.astype(np.intp)        # the head code 990 - 10 * e needs intp
     d = _significand(a, e)
-    # log10 may be one off next to a power of ten, and D may round up to
-    # 10**17.  Both leave D outside [10**16, 10**17): for every double in
-    # [1e-4, 1e3), an e one too high puts a * 10**k at least 0.83 below
-    # 10**16.
-    off = (d >= 10 ** 17).astype(np.intp) - (d < 10 ** 16)
-    fix = np.flatnonzero(off)
-    if fix.size:
-        e[fix] += off[fix]
-        d[fix] = _significand(a[fix], e[fix])
-        fast &= (d >= 10 ** 16) & (d < 10 ** 17)
-    del a, off, fix
+    del a
     # D * 10**max(e, 0), which may pass 2**63, is 10**16 times the integer
     # part (for e < 0 the first digit) plus the other digits, left-aligned
     d = d.view(np.uint64)

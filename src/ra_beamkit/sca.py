@@ -6,17 +6,17 @@ minorant around an expansion point and solving the resulting convex epigraph
 problem.  |v^H w|^2 is convex, so the minorant is a lower bound at any
 expansion point and is tight at that point.
 
-The plain step expands at the current iterate, so the true objective never
-decreases across iterations (up to the certified gap of a subproblem,
-``GAP_TARGET`` for offsets up to 1e3); its history holds the epigraph optima.
-A caller whose rotations stay fixed for the whole solve (the FOA and IA
+Either step's history holds the true min desired gain of each accepted
+iterate.  The plain step expands at the current iterate and stops on
+consecutive epigraph optima, so its history never decreases by more than the
+certified gap of a subproblem (``GAP_TARGET`` for offsets up to 1e3).  A
+caller whose rotations stay fixed for the whole solve (the FOA and IA
 baselines) asks for the extrapolated step instead: it expands at
 x = w + beta (w - w_prev) and keeps the result only if the true min desired
 gain rises above that of w, else it solves again at x = w (a restart).  This
 is the monotone accelerated scheme of Li & Lin (2015) with the adaptive
-restart of O'Donoghue & Candes (2015); it shortens SCA's slow tail.  Its
-history holds the true min desired gain of each accepted iterate, so it is
-nondecreasing exactly.
+restart of O'Donoghue & Candes (2015); it shortens SCA's slow tail, and its
+history is nondecreasing exactly.
 
 The extrapolated step certifies its early subproblems only to _LOOSE_GAP,
 which takes about half the Newton steps of GAP_TARGET: far from the optimum
@@ -52,7 +52,8 @@ class ScaConfig:
 @dataclass
 class ScaReport:
     weights: np.ndarray
-    objective_history: list     # per accepted iterate, nondecreasing
+    objective_history: list     # true min desired gain per accepted iterate;
+                                # nondecreasing (plain step: up to the gap)
     iterations: int             # convex solves, restarts included
     nonoptimal_subproblems: int   # subproblems not returned "optimal"
     newton_steps: int           # summed over every convex solve
@@ -89,9 +90,7 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig,
     if not np.any(w):
         raise ValueError("initial weights must be nonzero (zero expansion "
                          "point stalls the surrogate)")
-    rotations = np.asarray(state.rotations_deg, dtype=float)
-
-    V = composite_response(pattern, geometry, rotations,
+    V = composite_response(pattern, geometry, state.rotations_deg,
                            scenario.desired_angles_deg
                            + scenario.interference_angles_deg)    # (K + L, N)
     V_desired, V_interf = np.split(V, [len(scenario.desired_angles_deg)])
@@ -120,27 +119,28 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig,
                 np.all(np.abs(V_interf.conj() @ w_in) ** 2 <= eta):
             w, history = w_in, [gain(w_in)]
     else:
-        w, history = _plain(w, solve_at, config)
+        w, history = _plain(w, solve_at, gain, config)
     return ScaReport(
         weights=w, objective_history=history, iterations=len(solved),
         nonoptimal_subproblems=sum(status != "optimal" for status, _ in solved),
         newton_steps=sum(steps for _, steps in solved))
 
 
-def _plain(w, solve_at, config):
-    """Expand at the current iterate; the history holds the epigraph optima.
+def _plain(w, solve_at, gain, config):
+    """Expand at the current iterate; the history holds the true min desired
+    gain of each iterate.
 
-    Convergence is judged on consecutive optima; a first optimum below the
-    input's raw gain is normal when the input violates the caps.
+    Convergence is judged on consecutive epigraph optima; a first optimum
+    below the input's raw gain is normal when the input violates the caps.
     """
-    history = []
+    history, last = [], -np.inf
     for _ in range(config.max_iterations):
         sol = solve_at(w)
         w = sol.weights
-        history.append(sol.objective)
-        if len(history) > 1 and \
-                history[-1] - history[-2] < config.delta_threshold:
+        history.append(gain(w))
+        if sol.objective - last < config.delta_threshold:
             break
+        last = sol.objective
     return w, history
 
 

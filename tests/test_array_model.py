@@ -372,7 +372,7 @@ class TestCompositeAndGain:
 
     @pytest.mark.parametrize("isotropic", [False, True])
     def test_single_element_grid_gain_ignores_spacing(self, isotropic):
-        # at N = 1 Horner's loop never runs, so the phase term is not formed
+        # at N = 1 Horner's loop never runs, so the phase term is not used
         pat = None if isotropic else PAT
         w, rot = np.array([0.6 - 0.3j]), np.array([25.0])
         psi = np.linspace(0.0, 180.0, 1801)

@@ -750,6 +750,39 @@ def test_format_rows_writes_every_head_word():
     assert experiments._format_rows(columns) == expected
 
 
+def test_format_rows_decades_are_exact():
+    # the formatter finds the decade e, 10**e <= |x| < 10**(e + 1), by
+    # comparing with 1e-4 and _DECADES; each of these doubles lies at or
+    # above its power of ten, so every comparison is exact.  Every double
+    # within 64 ulp of a power of ten, at both signs, is written as "%.17g"
+    # writes it
+    bounds = [1e-4, *experiments._DECADES.tolist()]
+    for k, bound in zip(range(-4, 3), bounds, strict=True):
+        assert Fraction(bound) >= Fraction(10) ** k
+    centres = [p for k in range(-4, 4) for p in (10.0 ** k, float(f"1e{k}"))]
+    bits = np.array(centres).view(np.int64)[:, None] + np.arange(-64, 65)
+    values = bits.view(np.float64).ravel()
+    values = np.concatenate([values, -values])
+    assert values.size == 4128
+    columns = [values[j::3] for j in range(3)]
+    expected = "".join("%.17g,%.17g,%.17g\n" % row
+                       for row in zip(*(c.tolist() for c in columns)))
+    assert experiments._format_rows(columns) == expected
+
+
+def test_gain_to_db_floors_what_has_no_decibels():
+    # no gain, a negative one or nan, and any gain below 1e-30 give
+    # DB_FLOOR; +inf stays +inf, and every other gain gives 10 log10(g)
+    floored = [0.0, -0.0, -1.0, -1e300, -math.inf, math.nan,
+               float(np.nextafter(1e-30, 0)), 1e-31, 1e-300, 5e-324]
+    kept = np.array([1e-30, float(np.nextafter(1e-30, 1)), 2e-30, 1e-4, 0.5,
+                     1.0, 24.76, 1e3, 1e300, math.inf])
+    assert gain_to_db(floored).tolist() == [experiments.DB_FLOOR] * 10
+    assert gain_to_db(kept).tolist() == (10.0 * np.log10(kept)).tolist()
+    assert gain_to_db(math.inf) == math.inf
+    assert gain_to_db(0.0) == experiments.DB_FLOOR
+
+
 def test_format_rows_peak_fits_its_row_budget():
     # the formatting stage of one full block, its three columns included,
     # stays within the bytes per row that pattern_block_rows assumes

@@ -271,6 +271,41 @@ def test_weight_step_keeps_no_solution(monkeypatch, scheme):
     assert all(ref() is None for ref in alive)
 
 
+def _optima_loop(w, solve_at, gain, config):
+    # reference: the plain step recording the epigraph optima it judges
+    history = []
+    for _ in range(config.max_iterations):
+        sol = solve_at(w)
+        w = sol.weights
+        history.append(sol.objective)
+        if len(history) > 1 and \
+                history[-1] - history[-2] < config.delta_threshold:
+            break
+    return w, history
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_plain_history_holds_the_true_gain_of_each_solve(monkeypatch, seed):
+    # the plain step records min |v_k^H w_i|^2 of every solve's weights w_i,
+    # bit for bit, and still takes the iterates and the stop of a loop that
+    # records and judges the epigraph optima
+    geo, rot = ArrayGeometry(15), np.random.default_rng(seed).uniform(
+        -102.0, 102.0, 15)
+    state = BeamformerState(_start(15, seed), rot)
+    calls = _recording(monkeypatch)
+    report = optimize_weights(state, FAR, PAT, geo, ScaConfig())
+    solves = list(calls)
+    V = _desired_rows(PAT, geo, rot, FAR)
+    assert report.iterations == len(solves) > 1
+    assert report.objective_history == [
+        float((np.abs(V.conj() @ w) ** 2).min()) for _, w, _ in solves]
+
+    monkeypatch.setattr(sca, "_plain", _optima_loop)
+    reference = optimize_weights(state, FAR, PAT, geo, ScaConfig())
+    assert reference.iterations == report.iterations
+    assert reference.weights.tobytes() == report.weights.tobytes()
+
+
 class TestExtrapolatedStep:
     @pytest.mark.parametrize("scheme", ["FOA", "IA"])
     @pytest.mark.parametrize("seed", range(4))
