@@ -14,8 +14,9 @@ task order, so outputs are identical however many workers are used.
 
 import json
 import os
+import stat
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, replace
 from itertools import islice
 
@@ -300,6 +301,21 @@ def pattern_block_rows(num_antennas: int) -> int:
     return max(1, PATTERN_BLOCK_BYTES // row_bytes)
 
 
+@contextmanager
+def _rewrite(path):
+    """``open(path, "w", encoding="utf-8", newline="")``, but a regular file
+    is cut to the written length on exit, not to zero on open: ext4 flushes
+    a file cut to zero and rewritten to storage on close (auto_da_alloc)."""
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
+                 0o666)
+    with open(fd, "w", encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        finally:   # /dev/null and pipes cannot be cut
+            if stat.S_ISREG(os.fstat(fd).st_mode):
+                fh.truncate()
+
+
 def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
                       step_deg: float):
     """Sample the gain pattern and write it as CSV.
@@ -315,7 +331,7 @@ def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
     rows = pattern_rows(step_deg)
     block = pattern_block_rows(geometry.num_antennas)
     with (nullcontext(path) if hasattr(path, "write") else
-          open(path, "w", encoding="utf-8", newline="")) as fh:
+          _rewrite(path)) as fh:
         fh.write("psi_deg,gain_linear,gain_db\n")
         for start in range(0, rows, block):
             fh.write(_pattern_csv_block(state, pattern, geometry, step_deg,
@@ -347,7 +363,7 @@ def report_to_dict(report: RunReport, spec: ScenarioSpec) -> dict:
 
 def write_report_json(path, report: RunReport, spec: ScenarioSpec):
     text = json.dumps(report_to_dict(report, spec), indent=2, sort_keys=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _rewrite(path) as fh:
         fh.write(text + "\n")        # one write, not json.dump's ~190
 
 
@@ -416,8 +432,7 @@ def run_scenario(spec: ScenarioSpec, output_dir) -> dict:
         gain = rep.min_desired_gain
         summary_rows.append((scheme, gain, float(gain_to_db(gain)), gain / full))
 
-    with open(os.path.join(output_dir, "summary.csv"), "w", encoding="utf-8",
-              newline="") as fh:
+    with _rewrite(os.path.join(output_dir, "summary.csv")) as fh:
         fh.write("scheme,min_desired_gain_linear,min_desired_gain_db,"
                  "fraction_of_full_gain\n")
         for scheme, lin, db, frac in summary_rows:
@@ -487,7 +502,7 @@ def run_sweep(spec: ScenarioSpec, field_name: str, values, num_scenarios: int,
             for si, scheme in enumerate(spec.schemes)}
 
     path = os.path.join(output_dir, "sweep.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _rewrite(path) as fh:
         fh.write("sweep_value,scheme,mean_maxmin_gain_db,delta_vs_ra_db\n")
         for value in values:
             means = results[value]

@@ -6,6 +6,7 @@ import math
 import os
 import re
 import shlex
+import stat
 import subprocess
 import sys
 import tracemalloc
@@ -417,6 +418,106 @@ def test_pattern_writer_matches_row_by_row_formatting(tmp_path):
     assert path.read_text() == expected
 
 
+def _writer(tmp_path, command):
+    """(write, names): ``write(out)`` runs ``command`` with its output in the
+    directory ``out`` and returns the exit code; ``names`` are the files it
+    writes there."""
+    scenario = write_scenario(tmp_path, seeds=1)
+    state = tmp_path / "state"
+    if command == "pattern":
+        assert main(["run", scenario, "--out", str(state)]) == 0
+    argv, names = {
+        "run": (["run", scenario], RUN_FILES),
+        "sweep": (["sweep", scenario, "--field", "num_antennas", "--values",
+                   "4,6", "--scenarios", "2"], ["sweep.csv"]),
+        "pattern": (["pattern", scenario, "--state",
+                     str(state / "report_ra.json"), "--step", "0.1"],
+                    ["pattern.csv"]),
+    }[command]
+
+    def write(out):
+        out.mkdir(exist_ok=True)
+        target = out / "pattern.csv" if command == "pattern" else out
+        return main(argv + ["--out", str(target)])
+    return write, names
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "pattern"])
+@pytest.mark.parametrize("stale", ["longer", "shorter"])
+def test_rewritten_outputs_equal_fresh_ones(tmp_path, capsys, command, stale):
+    # every output already exists, holding twice its fresh bytes or only
+    # their first 10; each ends with the fresh bytes, in the same inode with
+    # the same permission bits
+    write, names = _writer(tmp_path, command)
+    fresh, old = tmp_path / "fresh", tmp_path / "old"
+    assert write(fresh) == 0
+    old.mkdir()
+    for name in names:
+        data = (fresh / name).read_bytes()
+        (old / name).write_bytes(data * 2 if stale == "longer" else data[:10])
+        (old / name).chmod(0o604)
+    inodes = {name: (old / name).stat().st_ino for name in names}
+    assert write(old) == 0
+    for name in names:
+        assert (old / name).read_bytes() == (fresh / name).read_bytes(), name
+        st = (old / name).stat()
+        assert (st.st_ino, stat.S_IMODE(st.st_mode)) == (inodes[name], 0o604)
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "pattern"])
+def test_writers_open_without_truncating(tmp_path, capsys, monkeypatch,
+                                         command):
+    # every output is opened by os.open without O_TRUNC, and a new file gets
+    # the mode open(path, "w") gives it
+    write, names = _writer(tmp_path, command)
+    calls, real_open = [], os.open
+
+    def recording_open(path, flags, mode=0o777, **kwargs):
+        calls.append((os.path.basename(path), flags))
+        return real_open(path, flags, mode, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    out = tmp_path / "out"
+    assert write(out) == 0
+    assert sorted(name for name, _ in calls) == sorted(names)
+    assert not [name for name, flags in calls if flags & os.O_TRUNC]
+    umask = os.umask(0)
+    os.umask(umask)
+    for name in names:
+        assert stat.S_IMODE((out / name).stat().st_mode) == 0o666 & ~umask
+
+
+def test_failed_pattern_write_leaves_no_stale_tail(tmp_path, monkeypatch):
+    # an exception on the second block cuts the old, longer file right after
+    # the header and the first block
+    path = tmp_path / "pattern.csv"
+    path.write_bytes(b"stale\n" * 100_000)
+    blocks, real_block = [], experiments._pattern_csv_block
+
+    def failing_block(*args):
+        if blocks:
+            raise RuntimeError("second block")
+        blocks.append(real_block(*args))
+        return blocks[0]
+
+    monkeypatch.setattr(experiments, "_pattern_csv_block", failing_block)
+    with pytest.raises(RuntimeError, match="second block"):
+        # 9001 rows at N = 5: two blocks
+        write_pattern_csv(path, _random_state(5), RadiationPattern(),
+                          ArrayGeometry(5), 0.02)
+    assert path.read_bytes() == \
+        ("psi_deg,gain_linear,gain_db\n" + blocks[0]).encode()
+
+
+def test_pattern_to_a_device_exits_0(tmp_path):
+    # a device such as the null device is written but never cut to length
+    scenario = write_scenario(tmp_path)
+    out = tmp_path / "out"
+    assert main(["run", scenario, "--out", str(out)]) == 0
+    assert main(["pattern", scenario, "--state", str(out / "report_ra.json"),
+                 "--out", os.devnull]) == 0
+
+
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
                                   ["sweep", "--help"], ["pattern", "--help"]])
 def test_help_exits_0(capsys, argv):
@@ -718,7 +819,8 @@ _numbers = st.one_of(
 @example([(1e15 + 0.25, 1e15 + 0.75, 5e-5)])
 @example([(float(np.nextafter(1e16, 0)), float(np.nextafter(1e-4, 0)),
            float(np.nextafter(0.1, 1)))])
-# the doubles just below 1e3, which log10 rounds up to 3, and 1e3 itself
+# the doubles just below 1e3, the top edge (a < 1e3) of the array path,
+# and 1e3 itself
 @example([(_ulps_from(1e3, -1), 1e3, _ulps_from(1e3, -4)),
           (-_ulps_from(1e3, -2), _ulps_from(1e3, 1), -_ulps_from(1e3, -5))])
 # negative values at every e in [-4, 2], some just below a power of ten
