@@ -303,17 +303,17 @@ def pattern_block_rows(num_antennas: int) -> int:
 
 @contextmanager
 def _rewrite(path):
-    """``open(path, "w", encoding="utf-8", newline="")``, but a regular file
-    is cut to the written length on exit, not to zero on open: ext4 flushes
-    a file cut to zero and rewritten to storage on close (auto_da_alloc)."""
+    """open(path, "w") minus O_TRUNC: ext4 flushes files truncated on open."""
     fd = os.open(path, os.O_WRONLY | os.O_CREAT | getattr(os, "O_BINARY", 0),
                  0o666)
     with open(fd, "w", encoding="utf-8", newline="") as fh:
         try:
             yield fh
-        finally:   # /dev/null and pipes cannot be cut
-            if stat.S_ISREG(os.fstat(fd).st_mode):
-                fh.truncate()
+            fh.flush()
+        finally:   # cut at the kernel's offset, even if the flush failed;
+            st = os.fstat(fd)   # text still buffered lands after the cut
+            if stat.S_ISREG(st.st_mode) and st.st_size > fh.buffer.raw.tell():
+                fh.buffer.raw.truncate()
 
 
 def write_pattern_csv(path, state: BeamformerState, pattern, geometry,

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import shlex
 import stat
 import subprocess
 import sys
+import threading
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -509,6 +511,31 @@ def test_failed_pattern_write_leaves_no_stale_tail(tmp_path, monkeypatch):
         ("psi_deg,gain_linear,gain_db\n" + blocks[0]).encode()
 
 
+def test_failed_flush_still_cuts_the_old_tail(tmp_path, monkeypatch):
+    # storage takes the first 100 bytes of a pattern and then fails, so the
+    # error comes from the flush on exit; the file is cut after those bytes
+    class FailingFile(io.FileIO):
+        def write(self, data):
+            if self.tell() >= 100:
+                raise OSError(errno.EIO, "write failed")
+            return super().write(bytes(data[:100 - self.tell()]))
+
+    def failing_open(fd, mode, **kwargs):
+        return io.TextIOWrapper(io.BufferedWriter(FailingFile(fd, "w")),
+                                **kwargs)
+
+    path = tmp_path / "pattern.csv"
+    path.write_bytes(b"stale\n" * 100_000)
+    args = _random_state(5), RadiationPattern(), ArrayGeometry(5), 5.0
+    fresh = io.StringIO()
+    write_pattern_csv(fresh, *args)
+    assert 100 < len(fresh.getvalue()) < 8192   # held in the buffer till exit
+    monkeypatch.setattr(experiments, "open", failing_open, raising=False)
+    with pytest.raises(OSError, match="write failed"):
+        write_pattern_csv(path, *args)
+    assert path.read_bytes() == fresh.getvalue().encode()[:100]
+
+
 def test_pattern_to_a_device_exits_0(tmp_path):
     # a device such as the null device is written but never cut to length
     scenario = write_scenario(tmp_path)
@@ -516,6 +543,22 @@ def test_pattern_to_a_device_exits_0(tmp_path):
     assert main(["run", scenario, "--out", str(out)]) == 0
     assert main(["pattern", scenario, "--state", str(out / "report_ra.json"),
                  "--out", os.devnull]) == 0
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+def test_pattern_to_a_pipe_is_written_whole(tmp_path):
+    # a pipe has no offset to cut at; its reader gets every byte
+    fifo, got = tmp_path / "fifo", []
+    os.mkfifo(fifo)
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()),
+                              daemon=True)
+    reader.start()
+    args = _random_state(5), RadiationPattern(), ArrayGeometry(5), 0.02
+    write_pattern_csv(fifo, *args)
+    reader.join(60)
+    fresh = io.StringIO()
+    write_pattern_csv(fresh, *args)
+    assert got == [fresh.getvalue().encode()]
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["run", "--help"],
