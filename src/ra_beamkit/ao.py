@@ -84,7 +84,7 @@ def child_seed(*entropy, spawn_key=()) -> int:
 
 
 def _alternate(scenario, pattern, geometry, initial: BeamformerState,
-               config, scheme, seed) -> RunReport:
+               config, scheme, seed=0) -> RunReport:
     """The outer loop of every scheme: the weight step and, for RA only, the
     swarm step, until the true min desired gain rises by less than the outer
     threshold.  The swarm reuses the current rotations as one particle, so
@@ -139,14 +139,14 @@ def solve_ra(scenario: Scenario, pattern: RadiationPattern,
 
 def solve_foa(scenario: Scenario, pattern: RadiationPattern,
               geometry: ArrayGeometry, initial_weights,
-              config: AoConfig = None, seed: int = 0) -> RunReport:
+              config: AoConfig = None) -> RunReport:
     """Fixed-orientation baseline: rotations stay at zero."""
     start = BeamformerState(initial_weights, np.zeros(geometry.num_antennas))
-    return _alternate(scenario, pattern, geometry, start, config, "FOA", seed)
+    return _alternate(scenario, pattern, geometry, start, config, "FOA")
 
 
 def solve_ia(scenario: Scenario, geometry: ArrayGeometry, initial_weights,
-             config: AoConfig = None, seed: int = 0) -> RunReport:
+             config: AoConfig = None) -> RunReport:
     """Isotropic baseline: unit element gain in every direction."""
     start = BeamformerState(initial_weights, np.zeros(geometry.num_antennas))
-    return _alternate(scenario, None, geometry, start, config, "IA", seed)
+    return _alternate(scenario, None, geometry, start, config, "IA")

@@ -37,6 +37,7 @@ import numpy as np
 MAX_GAIN_DBI = 20.0            # N = 64 certifies to 60 dBi, not to 100
 MAX_ETA_DB = 80.0              # |eta_max_db|; by -90 dB some go uncertified
 MAX_SPACING_WAVELENGTHS = 1e6  # steering phase good to ~2e-6 rad at N = 1024
+GRID_CHUNK_BYTES = 2 ** 21 - 2 ** 17  # numpy's ufunc buffers add 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -255,13 +256,14 @@ def grid_gain(weights, pattern, geometry: ArrayGeometry,
     The gain of :func:`array_gain`, evaluated as the polynomial
     ``sum_n conj(w_n) A_n(psi) z**n`` in ``z = exp(j 2 pi d cos psi)`` by
     Horner's rule: one complex exponential per direction and no
-    (directions, N) complex block.  The amplitudes ``A_n`` are computed once
-    per distinct rotation by :func:`element_amplitude`, one contiguous row
-    per rotation.  With ``pattern=None`` or one distinct rotation the
-    coefficients are the constants ``conj(w_n)``, and in the second case
-    the square of the one element amplitude multiplies the result.  Every
-    operation is elementwise along the grid, so splitting the grid changes
-    no bit.
+    (directions, N) complex block.  The amplitudes ``A_n`` come from
+    :func:`element_amplitude`, one row per distinct rotation; with
+    ``pattern=None`` or one distinct rotation the coefficients are the
+    constants ``conj(w_n)``, and in the second case the square of the one
+    amplitude row multiplies the result.  The grid is taken in chunks whose
+    amplitude rows and 56 bytes a direction (``z``, the sum, its term and
+    the gain) fit in ``GRID_CHUNK_BYTES``, so memory is bounded at any N;
+    every operation is elementwise along the grid, so no split changes a bit.
 
     Against :func:`array_gain` the result differs by at most
     ``c N (1 + 2 pi d) eps S**2`` to first order in the machine epsilon
@@ -277,34 +279,37 @@ def grid_gain(weights, pattern, geometry: ArrayGeometry,
     if w.shape != (n,) or rotations.shape != (n,):
         raise ValueError("weights and rotations must hold num_antennas each")
     psi = np.asarray(psi_deg, dtype=float)
-    z = np.radians(psi)
-    np.cos(z, out=z)
-    z *= 2.0 * np.pi * geometry.spacing_wavelengths
-    z = 1j * z                # rebinding frees the float phase
-    np.exp(z, out=z)
     coef = np.conj(w)
-    amp = scale = None
-    if pattern is not None:
-        distinct, index = np.unique(rotations, return_inverse=True)
-        amp = psi - distinct[:, None]
-        element_amplitude(pattern, amp, out=amp)
-        if distinct.size == 1:      # one element gain, A**2, scales every term
-            scale, amp = np.square(amp[0], out=amp[0]), None
-    if amp is None:
-        p = np.full(psi.shape, coef[-1])
-        for c in coef[-2::-1]:
-            p *= z
-            p += c
-    else:
-        p = amp[index[-1]] * coef[-1]
-        term = np.empty_like(p)
-        for k in range(n - 2, -1, -1):
-            p *= z
-            p += np.multiply(amp[index[k]], coef[k], out=term)
-    gain = np.square(p.real)
-    gain += np.square(p.imag, out=p.imag)
-    if scale is not None:
-        gain *= scale
+    distinct, index = np.unique(rotations, return_inverse=True)
+    rows = 0 if pattern is None else distinct.size      # amplitude rows
+    chunk = max(1, GRID_CHUNK_BYTES // (8 * rows + 56))
+    gain = np.empty(psi.shape)
+    for start in range(0, psi.size, chunk):
+        grid, out = psi[start:start + chunk], gain[start:start + chunk]
+        a = grid - distinct[:rows, None]
+        if rows:
+            element_amplitude(pattern, a, out=a)
+        z = np.radians(grid)
+        np.cos(z, out=z)
+        z *= 2.0 * np.pi * geometry.spacing_wavelengths
+        z = 1j * z                # rebinding frees the float phase
+        np.exp(z, out=z)
+        if rows > 1:
+            p = a[index[-1]] * coef[-1]
+            term = np.empty_like(p)
+            for k in range(n - 2, -1, -1):
+                p *= z
+                p += np.multiply(a[index[k]], coef[k], out=term)
+        else:
+            p = np.full(grid.shape, coef[-1])
+            for c in coef[-2::-1]:
+                p *= z
+                p += c
+        np.square(p.real, out=out)
+        out += np.square(p.imag, out=p.imag)
+        if rows == 1:           # one element gain, A**2, scales every term
+            out *= np.square(a[0], out=a[0])
+        del a, z, p             # before the next chunk's are made
     return gain
 
 

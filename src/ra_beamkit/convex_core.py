@@ -8,9 +8,9 @@ Solves, over complex weights w and a scalar t:
                ||w||_2 <= 1                  (the unit ball)
 
 The feasible set is never empty (w = 0 with t small enough always works), and
-instances here are tiny (K+L up to ~16), so a log-barrier interior-point
-method with damped Newton steps is used (Boyd & Vandenberghe 2004, section
-11.3).
+instances here are small (the schema caps K+L at 64; the paper's have 4), so a
+log-barrier interior-point method with damped Newton steps is used (Boyd &
+Vandenberghe 2004, section 11.3).
 
 The problem sees w only through the K+L inner products c_k^H w, v_l^H w and
 through ||w||.  A part of w outside the span of those vectors changes no inner
@@ -172,7 +172,7 @@ def solve_epigraph(problem: EpigraphProblem) -> ConvexSolution:
     C, V, b = problem.linear_terms, problem.quad_vectors, problem.offsets
     A = np.concatenate([C, V]).T                         # factored in place
     Q = _qr_reduced(A, _qr_r_raw(A, signature="D->D"), signature="DD->D")
-    S = _slack_form(C @ Q.conj(), V @ Q.conj(), problem)
+    S = _slack_form(C @ (Qc := Q.conj()), V @ Qc, problem)
 
     r = Q.shape[1]
     zh = np.zeros(2 * r + 2)                             # y = 0, then t, 1

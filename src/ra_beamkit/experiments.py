@@ -32,14 +32,8 @@ from .scenario import (MAX_TASKS, VALID_SCHEMES, ScenarioError, ScenarioSpec,
 
 DB_FLOOR = -300.0
 SWEEP_FIELDS = ("num_antennas", "spacing_wavelengths", "eta_max_db")
-# traced bytes a pattern block may hold (see pattern_block_rows): sampling
-# holds one amplitude per antenna and row plus 56 bytes per row (the
-# directions and three complex rows), formatting 384 bytes per row (three
-# float columns and the temporaries of three fields)
-PATTERN_BLOCK_BYTES = 2 ** 21
-_SAMPLE_ANTENNA_BYTES = 8
-_SAMPLE_ROW_BYTES = 56
-_FORMAT_ROW_BYTES = 384
+_FORMAT_ROW_BYTES = 384   # traced: three columns, three fields' temporaries
+PATTERN_BLOCK_ROWS = 2 ** 21 // _FORMAT_ROW_BYTES
 
 
 def initial_rotations(seed: int, desired_angles_deg, pattern, num_antennas,
@@ -291,16 +285,6 @@ def _pattern_csv_block(state, pattern, geometry, step_deg, start, stop) -> str:
     return _format_rows((psi, gains, gain_to_db(gains)))
 
 
-def pattern_block_rows(num_antennas: int) -> int:
-    """Rows per block of ``write_pattern_csv``: as many as fit in
-    ``PATTERN_BLOCK_BYTES`` at the traced bytes a row costs to sample or to
-    format, whichever is more.  A block's sampling arrays are freed before
-    it is formatted, so the two never add up."""
-    row_bytes = max(_SAMPLE_ANTENNA_BYTES * num_antennas + _SAMPLE_ROW_BYTES,
-                    _FORMAT_ROW_BYTES)
-    return max(1, PATTERN_BLOCK_BYTES // row_bytes)
-
-
 @contextmanager
 def _rewrite(path):
     """open(path, "w") minus O_TRUNC: ext4 flushes files truncated on open."""
@@ -321,21 +305,20 @@ def write_pattern_csv(path, state: BeamformerState, pattern, geometry,
     """Sample the gain pattern and write it as CSV.
 
     ``path`` is a file path, or an open text stream, which is left open.
-    The grid is streamed in blocks of ``pattern_block_rows(N)`` rows: each
-    block is sampled, converted to dB, formatted and written before the next
-    is sampled, so memory stays flat however fine the step.  Every number is
+    The grid is streamed in blocks of ``PATTERN_BLOCK_ROWS`` rows: each
+    block is sampled (``grid_gain`` bounds its own arrays), converted to dB,
+    formatted and written before the next is sampled, so memory stays flat
+    however fine the step and however large N.  Every number is
     written as ``"%.17g"`` writes it; the numbers with magnitudes in
     [1e-4, 1e3), nearly all of a pattern's angles, gains and dB values, are
     formatted by array arithmetic, the others by Python.
     """
-    rows = pattern_rows(step_deg)
-    block = pattern_block_rows(geometry.num_antennas)
     with (nullcontext(path) if hasattr(path, "write") else
           _rewrite(path)) as fh:
         fh.write("psi_deg,gain_linear,gain_db\n")
-        for start in range(0, rows, block):
+        for start in range(0, pattern_rows(step_deg), PATTERN_BLOCK_ROWS):
             fh.write(_pattern_csv_block(state, pattern, geometry, step_deg,
-                                        start, start + block))
+                                        start, start + PATTERN_BLOCK_ROWS))
 
 
 # ---------------------------------------------------------------------------

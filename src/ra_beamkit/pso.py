@@ -25,7 +25,7 @@ _INERTIA_INITIAL = 0.9
 _INERTIA_FINAL = 0.2
 _LEARN_LOCAL = 1.4
 _LEARN_GLOBAL = 1.4
-_PENALTY = 1e6               # weight on the summed cap violations
+_PENALTY = 1e6               # weight on the summed gains of violated caps
 
 
 @dataclass

@@ -111,13 +111,13 @@ def optimize_weights(state, scenario, pattern, geometry, config: ScaConfig,
         return float((np.abs(V_desired_h @ x) ** 2).min())
 
     if extrapolate:
-        w_in = w
+        w_in, g_in = w, gain(w)
         w, history = _extrapolated(w, solve_at, gain, config)
         # a loose first solve from a converged input may end up to
         # _LOOSE_GAP below it; a feasible input that beats the result stays
-        if gain(w_in) > history[-1] and np.linalg.norm(w_in) <= 1.0 and \
+        if g_in > history[-1] and np.linalg.norm(w_in) <= 1.0 and \
                 np.all(np.abs(V_interf.conj() @ w_in) ** 2 <= eta):
-            w, history = w_in, [gain(w_in)]
+            w, history = w_in, [g_in]
     else:
         w, history = _plain(w, solve_at, gain, config)
     return ScaReport(

@@ -22,13 +22,14 @@ interference sets are disjoint, ``eta_max_db`` lies in [-80, 80],
 no scheme or seed is listed twice.  ``seeds`` is a list of ints >= 0 or a count
 M, meaning 0..M-1.
 
-Three resource ceilings bound what a scenario may ask for:
-``num_antennas`` <= ``MAX_ANTENNAS``; the sampled pattern,
-(round(180 / pattern_sample_step_deg) + 1) rows times ``num_antennas``,
-<= ``MAX_PATTERN_SIZE`` entries; and at most ``MAX_TASKS`` seeds, also the
-bound on a sweep's values times scenarios times seeds (each solve of a run or
-a sweep is one pool task).  Patterns are written in blocks of bounded size,
-so the second ceiling bounds output size and time, not memory.
+Resource ceilings bound what a scenario may ask for: ``num_antennas`` <=
+``MAX_ANTENNAS``; K + L directions <= ``MAX_DIRECTIONS``; the swarm, K + L
+times ``num_particles`` times N, <= ``MAX_SWARM_SIZE``; the pattern,
+(round(180 / pattern_sample_step_deg) + 1) rows times N, <=
+``MAX_PATTERN_SIZE``; and at most ``MAX_TASKS`` seeds, also the bound on a
+sweep's values times scenarios times seeds (each solve is one pool task).
+Patterns are written in blocks of bounded size, so the pattern ceiling bounds
+output size and time, not memory.
 """
 
 import json
@@ -40,6 +41,8 @@ from .array_model import ArrayGeometry, RadiationPattern, Scenario
 
 VALID_SCHEMES = ("RA", "FOA", "IA")
 MAX_ANTENNAS = 1024
+MAX_DIRECTIONS = 64            # K + L; a solve's slack tensors are O((K+L)**3)
+MAX_SWARM_SIZE = 2 ** 22       # (K + L) x particles x N, a swarm gain block
 MAX_PATTERN_SIZE = 2 ** 24     # about 1 GB of CSV at N = 1
 MAX_TASKS = 2 ** 16            # solves per scheme of a run or a sweep
 
@@ -209,14 +212,19 @@ def _check_spec(spec, context="scenario"):
         keys = (f"'{key}'" if key in ("eta_max_db", "spacing_wavelengths")
                 else "'desired_angles_deg'/'interference_angles_deg'")
         raise ScenarioError(f"key {keys} in {context}: {exc}") from exc
-    if spec.num_antennas > MAX_ANTENNAS:
-        raise ScenarioError(f"key 'num_antennas' in {context} must be "
-                            f"<= {MAX_ANTENNAS}")
-    if pattern_rows(spec.pattern_sample_step_deg) * spec.num_antennas \
-            > MAX_PATTERN_SIZE:
-        raise ScenarioError(
-            f"key 'pattern_sample_step_deg' in {context}: the pattern would "
-            f"exceed {MAX_PATTERN_SIZE} entries (rows times num_antennas)")
+    k_l = len(spec.desired_angles_deg) + len(spec.interference_angles_deg)
+    n = spec.num_antennas
+    for key, what, size, ceiling in (
+            ("num_antennas", "N", n, MAX_ANTENNAS),
+            ("desired_angles_deg'/'interference_angles_deg", "K + L", k_l,
+             MAX_DIRECTIONS),
+            ("solver.pso.num_particles", "(K + L) x num_particles x N",
+             k_l * spec.solver.pso.num_particles * n, MAX_SWARM_SIZE),
+            ("pattern_sample_step_deg", "rows x N",
+             pattern_rows(spec.pattern_sample_step_deg) * n, MAX_PATTERN_SIZE)):
+        if size > ceiling:
+            raise ScenarioError(f"key '{key}' in {context}: {what} must be "
+                                f"<= {ceiling}")
     return spec
 
 

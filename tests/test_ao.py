@@ -227,10 +227,9 @@ class TestOrdering:
             gains["RA"].append(solve_ra(
                 sc, PAT, geo, BeamformerState(w0, np.zeros(8)), cfg,
                 seed=count).min_desired_gain)
-            gains["FOA"].append(solve_foa(sc, PAT, geo, w0, cfg,
-                                          seed=count).min_desired_gain)
-            gains["IA"].append(solve_ia(sc, geo, w0, cfg,
-                                        seed=count).min_desired_gain)
+            gains["FOA"].append(solve_foa(sc, PAT, geo, w0,
+                                          cfg).min_desired_gain)
+            gains["IA"].append(solve_ia(sc, geo, w0, cfg).min_desired_gain)
             count += 1
         mean_db = {k: np.mean(10 * np.log10(np.asarray(v))) for k, v in gains.items()}
         assert mean_db["RA"] >= mean_db["FOA"]

@@ -380,6 +380,31 @@ class TestCompositeAndGain:
                  for d in (0.5, 1e6)]
         assert gains[0] == gains[1]
 
+    @pytest.mark.parametrize("n,rows,chunks", [(15, 5461, 1), (64, 5461, 2),
+                                               (1024, 1000, 5)])
+    def test_grid_gain_chunks_change_no_bit(self, monkeypatch, n, rows,
+                                            chunks):
+        # all-distinct rotations: a 5461-row pattern block is one chunk at
+        # N = 15 and two at N = 64, the last one short; one chunk of the
+        # whole grid gives the same bits
+        rng = np.random.default_rng(n)
+        w = rng.normal(size=n) + 1j * rng.normal(size=n)
+        rot = rng.uniform(-102.0, 102.0, n)
+        psi = np.linspace(0.0, 180.0, rows)
+        calls, kernel = [], element_amplitude
+
+        def counting(pattern, steer_deg, out=None):
+            calls.append(np.shape(steer_deg))
+            return kernel(pattern, steer_deg, out)
+
+        monkeypatch.setattr(array_model, "element_amplitude", counting)
+        chunked = grid_gain(w, PAT, ArrayGeometry(n), rot, psi)
+        assert len(calls) == chunks
+        monkeypatch.setattr(array_model, "GRID_CHUNK_BYTES", 2 ** 40)
+        whole = grid_gain(w, PAT, ArrayGeometry(n), rot, psi)
+        assert calls[-1] == (n, rows)
+        assert chunked.tobytes() == whole.tobytes()
+
     def test_grid_gain_checks_lengths(self):
         with pytest.raises(ValueError):
             grid_gain(np.ones(3), PAT, ArrayGeometry(4), np.zeros(4), [90.0])

@@ -638,14 +638,16 @@ def _random_state(n, seed=4):
 
 
 @pytest.mark.parametrize("element", ["patterned", "isotropic"])
-@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.015), (64, 0.02)])
+@pytest.mark.parametrize("n,step", [(1, 0.005), (15, 0.015), (64, 0.01)])
 def test_streamed_pattern_matches_one_shot_grid(n, step, element):
     # the reference samples the whole linspace grid in one call and formats
-    # it row by row, as the writer did before it streamed blocks
+    # it row by row, as the writer did before it streamed blocks; at N = 64
+    # grid_gain cuts both the blocks and the whole grid into chunks, at
+    # other rows
     pattern = RadiationPattern() if element == "patterned" else None
     geo, state = ArrayGeometry(n), _random_state(n)
     rows = int(round(180.0 / step)) + 1
-    block = experiments.pattern_block_rows(n)
+    block = experiments.PATTERN_BLOCK_ROWS
     assert rows > 2 * block and rows % block    # >= 3 blocks, ragged last
     psi, gains = sample_gain_pattern(state, pattern, geo, step)
     expected = ["psi_deg,gain_linear,gain_db\n"] + [
@@ -682,17 +684,23 @@ def test_pattern_blocks_rebuild_linspace_grid(step):
 def test_pattern_writer_memory_is_bounded(n):
     # 180 001 rows x 15 elements: the one-shot writer peaked at about 65 MiB.
     # At N = 1024 the 0.001 deg grid is cut to the pattern-size ceiling,
-    # 16 384 rows.
+    # 16 384 rows.  Every kind of state: IA, FOA, two distinct rotations
+    # and all distinct
     step = max(0.001, 180.0 / (scenario_mod.MAX_PATTERN_SIZE // n - 1))
     state = _random_state(n)
-    tracemalloc.start()
-    try:
-        write_pattern_csv(_Discard(), state, RadiationPattern(),
-                          ArrayGeometry(n), step)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    rotations = state.rotations_deg
+    two = np.where(np.arange(n) % 2, rotations[0], rotations[-1])
+    for pattern, rot in [(None, np.zeros(n)), (RadiationPattern(), np.zeros(n)),
+                         (RadiationPattern(), two),
+                         (RadiationPattern(), rotations)]:
+        tracemalloc.start()
+        try:
+            write_pattern_csv(_Discard(), BeamformerState(state.weights, rot),
+                              pattern, ArrayGeometry(n), step)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * 2 ** 20, (pattern, np.unique(rot).size)
 
 
 def _write_report(tmp_path, text):
@@ -930,8 +938,8 @@ def test_gain_to_db_floors_what_has_no_decibels():
 
 def test_format_rows_peak_fits_its_row_budget():
     # the formatting stage of one full block, its three columns included,
-    # stays within the bytes per row that pattern_block_rows assumes
-    rows = experiments.pattern_block_rows(15)
+    # stays within the bytes per row that PATTERN_BLOCK_ROWS assumes
+    rows = experiments.PATTERN_BLOCK_ROWS
     tracemalloc.start()
     try:
         psi, gains = sample_gain_pattern(_random_state(15), RadiationPattern(),
@@ -948,7 +956,7 @@ def test_format_rows_peak_fits_its_row_budget():
 def test_format_rows_fallback_fits_its_row_budget():
     # the same block with every gain at 1e3 or more, as large arrays reach,
     # so that a whole column is formatted by Python: same budget, same bytes
-    rows = experiments.pattern_block_rows(15)
+    rows = experiments.PATTERN_BLOCK_ROWS
     tracemalloc.start()
     try:
         psi, gains = sample_gain_pattern(_random_state(15), RadiationPattern(),

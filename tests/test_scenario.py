@@ -14,11 +14,13 @@ from ra_beamkit.array_model import (MAX_ETA_DB, MAX_GAIN_DBI,
                                     RadiationPattern, Scenario,
                                     rotation_bounds)
 from ra_beamkit.convex_core import GAP_TARGET
-from ra_beamkit.experiments import report_to_dict, run_single
+from ra_beamkit.experiments import report_to_dict, run_single, run_sweep
 from ra_beamkit.pso import PsoConfig
 from ra_beamkit.sca import ScaConfig
-from ra_beamkit.scenario import (MAX_ANTENNAS, MAX_PATTERN_SIZE, ScenarioError,
-                                 ScenarioSpec, load_scenario, parse_scenario)
+from ra_beamkit.scenario import (MAX_ANTENNAS, MAX_DIRECTIONS,
+                                 MAX_PATTERN_SIZE, MAX_SWARM_SIZE,
+                                 ScenarioError, ScenarioSpec, load_scenario,
+                                 parse_scenario)
 
 
 def write(tmp_path, doc):
@@ -304,6 +306,50 @@ def test_antenna_ceiling():
         .num_antennas == MAX_ANTENNAS
     with pytest.raises(ScenarioError, match="'num_antennas'.*<="):
         parse_scenario({**MINIMAL, "num_antennas": MAX_ANTENNAS + 1})
+
+
+def _angles(count, offset):
+    return [offset + 2.0 * i for i in range(count)]
+
+
+def test_direction_ceiling():
+    # the convex core's slack tensors grow as (K + L)**3: a solve at
+    # K + L = N = 120 traced 162 MiB; these documents are only parsed
+    half = MAX_DIRECTIONS // 2
+    spec = parse_scenario({"desired_angles_deg": _angles(half, 1.0),
+                           "interference_angles_deg": _angles(half, 2.0)})
+    assert len(spec.desired_angles_deg + spec.interference_angles_deg) \
+        == MAX_DIRECTIONS
+    for desired, interference in ((half + 1, half), (MAX_DIRECTIONS + 1, 0)):
+        with pytest.raises(ScenarioError, match="'desired_angles_deg'.*: "
+                           f"K \\+ L must be <= {MAX_DIRECTIONS}"):
+            parse_scenario({"desired_angles_deg": _angles(desired, 1.0),
+                            "interference_angles_deg":
+                                _angles(interference, 2.0)})
+
+
+def test_swarm_size_ceiling(tmp_path):
+    # (K + L) x particles x N: one direction, 1024 antennas and 4096
+    # particles is exactly MAX_SWARM_SIZE
+    doc = {**MINIMAL, "num_antennas": MAX_ANTENNAS,
+           "solver": {"pso": {"num_particles": MAX_SWARM_SIZE // MAX_ANTENNAS}}}
+    assert parse_scenario(doc).solver.pso.num_particles == 4096
+    doc["solver"]["pso"]["num_particles"] += 1
+    with pytest.raises(ScenarioError, match="'solver.pso.num_particles' in "
+                       r"scenario: \(K \+ L\) x num_particles x N must be <="):
+        parse_scenario(doc)
+    # the benchmark's widest swarm: four beams, two caps, 4000 particles, N = 32
+    parse_scenario({"desired_angles_deg": [40.0, 70.0, 110.0, 140.0],
+                    "interference_angles_deg": [20.0, 160.0],
+                    "num_antennas": 32,
+                    "solver": {"pso": {"num_particles": 4000}}})
+    # a swept antenna count is checked too, before anything is solved: 21
+    # directions x 200 particles x 1024 antennas passes 2**22
+    spec = parse_scenario({"desired_angles_deg": _angles(21, 1.0)})
+    with pytest.raises(ScenarioError, match="'solver.pso.num_particles' in "
+                       "--values"):
+        run_sweep(spec, "num_antennas", [8, MAX_ANTENNAS], 1, 0, tmp_path / "o")
+    assert not (tmp_path / "o").exists()
 
 
 def test_pattern_size_ceiling():
